@@ -31,16 +31,20 @@
 using namespace mfsa;
 
 static void usage(const char *Prog) {
+  // The abbreviation list comes from the dataset table findDataset reads,
+  // so it cannot drift from what is accepted.
+  std::string Abbrevs;
+  for (const DatasetSpec &Spec : standardDatasets())
+    Abbrevs += (Abbrevs.empty() ? "" : ", ") + Spec.Abbrev;
   std::fprintf(stderr,
                "usage: %s [-n rules] [-b bytes] [-o outdir] ABBREV\n"
-               "  ABBREV      dataset abbreviation: BRO, DOT, POW, PRO, "
-               "RAN, TCP\n"
+               "  ABBREV      dataset abbreviation: %s\n"
                "  -n rules    cap the ruleset at this many rules "
                "(default: full calibrated size)\n"
                "  -b bytes    stream size in bytes (default 65536)\n"
                "  -o outdir   output directory (default .)\n"
                "writes <outdir>/<abbrev>.rules and <outdir>/<abbrev>.stream\n",
-               Prog);
+               Prog, Abbrevs.c_str());
 }
 
 int main(int argc, char **argv) {

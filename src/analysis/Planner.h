@@ -42,7 +42,7 @@ class MetricsRegistry;
 /// decide").
 enum class Engine : uint8_t {
   Auto,         ///< Resolve via the planner.
-  ImfantDense,  ///< Symbol-major iMFAnt (engine/Imfant.h).
+  ImfantDense,  ///< (State, symbol)-indexed iMFAnt (engine/Imfant.h).
   ImfantSparse, ///< State-major CSR iMFAnt (engine/SparseImfant.h).
   Dfa,          ///< Scanning subset-construction DFA (engine/DfaEngine.h).
   StridedDfa,   ///< Stride-2 DFA (engine/MultiStride.h).

@@ -9,6 +9,7 @@
 #include "analysis/Verifier.h"
 #include "obs/Metrics.h"
 #include "support/SimdDispatch.h"
+#include "support/SymbolSet.h"
 
 #include <algorithm>
 #include <cassert>
@@ -21,7 +22,7 @@ using namespace mfsa;
 
 namespace {
 
-/// Hash for a Words-wide bitset block, used to deduplicate belonging sets.
+/// Hash for a Words-wide bitset block, used to deduplicate block pools.
 struct BlockHash {
   size_t operator()(const std::vector<uint64_t> &Block) const {
     uint64_t H = 0x9e3779b97f4a7c15ULL;
@@ -31,6 +32,28 @@ struct BlockHash {
     }
     return static_cast<size_t>(H);
   }
+};
+
+/// Deduplicates Words-wide blocks into a flat pool; MFSAs built from similar
+/// rules reuse few distinct sets, so the pools stay small.
+class BlockInterner {
+public:
+  BlockInterner(std::vector<uint64_t> &Pool, uint32_t Words)
+      : Pool(Pool), Words(Words) {}
+
+  uint32_t intern(const uint64_t *Block) {
+    auto [It, Fresh] = Index.try_emplace(
+        std::vector<uint64_t>(Block, Block + Words),
+        static_cast<uint32_t>(Index.size()));
+    if (Fresh)
+      Pool.insert(Pool.end(), Block, Block + Words);
+    return It->second;
+  }
+
+private:
+  std::vector<uint64_t> &Pool;
+  uint32_t Words;
+  std::unordered_map<std::vector<uint64_t>, uint32_t, BlockHash> Index;
 };
 
 } // namespace
@@ -64,64 +87,154 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
       std::abort();
     }
 #endif
-
-  // Deduplicate belonging sets into BelPool; MFSAs built from similar rules
-  // reuse few distinct sets, so the pool stays small.
-  std::unordered_map<std::vector<uint64_t>, uint32_t, BlockHash> PoolIndex;
-  auto InternBel = [&](const DynamicBitset &Bel) -> uint32_t {
-    std::vector<uint64_t> Block(Words, 0);
-    std::copy(Bel.words().begin(), Bel.words().end(), Block.begin());
-    auto It = PoolIndex.find(Block);
-    if (It != PoolIndex.end())
-      return It->second;
-    uint32_t Idx = static_cast<uint32_t>(PoolIndex.size());
-    PoolIndex.emplace(Block, Idx);
-    BelPool.insert(BelPool.end(), Block.begin(), Block.end());
-    return Idx;
-  };
-
-  // Bucket transitions per enabling symbol (the iNFAnt layout): first count,
-  // then fill, keeping entries contiguous per symbol.
-  std::vector<uint32_t> Counts(257, 0);
-  for (const MfsaTransition &T : Z.transitions())
-    T.Label.forEach([&](unsigned char C) { ++Counts[C]; });
-  Offsets.assign(257, 0);
-  for (unsigned C = 0; C < 256; ++C)
-    Offsets[C + 1] = Offsets[C] + Counts[C];
-  Entries.resize(Offsets[256]);
-  std::vector<uint32_t> Fill(Offsets.begin(), Offsets.end() - 1);
-  for (const MfsaTransition &T : Z.transitions()) {
-    uint32_t BelIdx = InternBel(T.Bel);
-    T.Label.forEach([&](unsigned char C) {
-      Entries[Fill[C]++] = TableEntry{T.From, T.To, BelIdx};
-    });
+  // Slot::To reserves its top bit for OverflowFlag.
+  if (NumStates >= OverflowFlag) {
+    std::fprintf(stderr, "mfsa: ImfantEngine rejected MFSA: %u states\n",
+                 NumStates);
+    std::abort();
   }
 
-  // Per-state activation metadata.
-  InitialRules.assign(static_cast<size_t>(NumStates) * Words, 0);
-  FinalRules.assign(static_cast<size_t>(NumStates) * Words, 0);
-  InitialAny.assign(NumStates, 0);
-  FinalAny.assign(NumStates, 0);
-  NotAnchoredStartMask.assign(Words, ~0ULL);
-  NotAnchoredEndMask.assign(Words, ~0ULL);
-  GlobalIds.resize(NumRules);
+  const std::vector<MfsaTransition> &Ts = Z.transitions();
+  const size_t W = Words;
+  BlockInterner Bels(BelPool, Words);
+  std::vector<uint32_t> BelOf(Ts.size());
+  for (size_t TIdx = 0; TIdx < Ts.size(); ++TIdx)
+    BelOf[TIdx] = Bels.intern(Ts[TIdx].Bel.words().data()); // Words words
 
+  // Per-rule metadata. Initial rules and start anchors only shape the
+  // precomputed injection blocks, so they do not outlive construction.
+  std::vector<uint64_t> InitialRules(NumStates * W, 0);
+  std::vector<uint8_t> InitialAny(NumStates, 0);
+  std::vector<uint64_t> NotAnchoredStartMask(W, ~0ULL);
+  FinalRules.assign(NumStates * W, 0);
+  FinalAny.assign(NumStates, 0);
+  NotAnchoredEndMask.assign(W, ~0ULL);
+  GlobalIds.resize(NumRules);
   for (RuleId Rule = 0; Rule < NumRules; ++Rule) {
     const Mfsa::RuleInfo &Info = Z.rule(Rule);
+    const uint64_t Bit = 1ULL << (Rule % 64);
     GlobalIds[Rule] = Info.GlobalId;
-    InitialRules[static_cast<size_t>(Info.Initial) * Words + Rule / 64] |=
-        1ULL << (Rule % 64);
+    InitialRules[Info.Initial * W + Rule / 64] |= Bit;
     InitialAny[Info.Initial] = 1;
     for (StateId F : Info.Finals) {
-      FinalRules[static_cast<size_t>(F) * Words + Rule / 64] |=
-          1ULL << (Rule % 64);
+      FinalRules[F * W + Rule / 64] |= Bit;
       FinalAny[F] = 1;
     }
     if (Info.AnchoredStart)
-      NotAnchoredStartMask[Rule / 64] &= ~(1ULL << (Rule % 64));
+      NotAnchoredStartMask[Rule / 64] &= ~Bit;
     if (Info.AnchoredEnd)
-      NotAnchoredEndMask[Rule / 64] &= ~(1ULL << (Rule % 64));
+      NotAnchoredEndMask[Rule / 64] &= ~Bit;
   }
+
+  // Transitions grouped by source state (CSR over transition indices).
+  std::vector<uint32_t> FromOffsets(NumStates + 1, 0);
+  for (const MfsaTransition &T : Ts)
+    ++FromOffsets[T.From + 1];
+  for (uint32_t S = 0; S < NumStates; ++S)
+    FromOffsets[S + 1] += FromOffsets[S];
+  std::vector<uint32_t> ByFrom(Ts.size());
+  {
+    std::vector<uint32_t> Fill(FromOffsets.begin(), FromOffsets.end() - 1);
+    for (size_t TIdx = 0; TIdx < Ts.size(); ++TIdx)
+      ByFrom[Fill[Ts[TIdx].From]++] = static_cast<uint32_t>(TIdx);
+  }
+
+  // Propagation table, built in O(table entries): per state, the union of
+  // its out-labels picks a pooled bitmap and one slot per enabled symbol;
+  // symbols carrying several edges get an overflow run instead.
+  std::unordered_map<SymbolSet, uint32_t, SymbolSetHash> BitmapIndex;
+  Rows.resize(NumStates);
+  RowLength.assign(256, 0);
+  uint32_t PairEdges[256] = {};
+  uint32_t SlotOf[256];
+  for (StateId S = 0; S < NumStates; ++S) {
+    SymbolSet Out;
+    for (uint32_t I = FromOffsets[S]; I < FromOffsets[S + 1]; ++I)
+      Out |= Ts[ByFrom[I]].Label;
+    auto [It, Fresh] = BitmapIndex.try_emplace(
+        Out, static_cast<uint32_t>(Bitmaps.size()));
+    if (Fresh) {
+      SymbolBitmap Bm{};
+      uint16_t Rank = 0;
+      for (unsigned Wd = 0; Wd < 4; ++Wd) {
+        Bm.Bits[Wd] = Out.words()[Wd];
+        Bm.Rank[Wd] = Rank;
+        Rank = static_cast<uint16_t>(Rank + __builtin_popcountll(Bm.Bits[Wd]));
+      }
+      Bitmaps.push_back(Bm);
+    }
+    const uint32_t Base = static_cast<uint32_t>(Slots.size());
+    Rows[S] = StateRow{Base, It->second};
+
+    for (uint32_t I = FromOffsets[S]; I < FromOffsets[S + 1]; ++I)
+      Ts[ByFrom[I]].Label.forEach([&](unsigned char C) {
+        ++PairEdges[C];
+        ++RowLength[C];
+      });
+    Slots.resize(Base + Out.count());
+    uint32_t Next = Base;
+    Out.forEach([&](unsigned char C) {
+      SlotOf[C] = Next++;
+      if (PairEdges[C] == 1)
+        return;
+      // The slot points at the run; SlotOf now tracks the run's fill.
+      const uint32_t Run = static_cast<uint32_t>(Overflow.size());
+      Overflow.resize(Run + PairEdges[C]);
+      Slots[SlotOf[C]] = Slot{OverflowFlag | Run, PairEdges[C]};
+      SlotOf[C] = Run;
+    });
+    for (uint32_t I = FromOffsets[S]; I < FromOffsets[S + 1]; ++I) {
+      const Slot Edge{Ts[ByFrom[I]].To, BelOf[ByFrom[I]]};
+      Ts[ByFrom[I]].Label.forEach([&](unsigned char C) {
+        if (PairEdges[C] == 1)
+          Slots[SlotOf[C]] = Edge;
+        else
+          Overflow[SlotOf[C]++] = Edge;
+      });
+    }
+    Out.forEach([&](unsigned char C) { PairEdges[C] = 0; });
+  }
+
+  // Injection table: per symbol, OR InitialRules(From) ∩ bel over the
+  // initial-source transitions enabled by it, one block per destination.
+  std::vector<uint32_t> InitSources;
+  for (size_t TIdx = 0; TIdx < Ts.size(); ++TIdx)
+    if (InitialAny[Ts[TIdx].From])
+      InitSources.push_back(static_cast<uint32_t>(TIdx));
+  BlockInterner Blocks(InjectAtStart, Words);
+  InjectOffsets.assign(257, 0);
+  std::vector<uint32_t> StampOf(NumStates, 0), AccOf(NumStates, 0);
+  std::vector<StateId> AccTo;
+  std::vector<uint64_t> Acc;
+  for (unsigned C = 0; C < 256; ++C) {
+    AccTo.clear();
+    Acc.clear();
+    for (uint32_t TIdx : InitSources) {
+      const MfsaTransition &T = Ts[TIdx];
+      if (!T.Label.contains(static_cast<unsigned char>(C)))
+        continue;
+      const uint64_t *Init = &InitialRules[T.From * W];
+      const uint64_t *Bel = &BelPool[BelOf[TIdx] * W];
+      if (StampOf[T.To] != C + 1) {
+        StampOf[T.To] = C + 1;
+        AccOf[T.To] = static_cast<uint32_t>(AccTo.size());
+        AccTo.push_back(T.To);
+        Acc.resize(Acc.size() + W, 0);
+      }
+      uint64_t *Dst = &Acc[AccOf[T.To] * W];
+      for (size_t Wd = 0; Wd < W; ++Wd)
+        Dst[Wd] |= Init[Wd] & Bel[Wd];
+    }
+    for (size_t K = 0; K < AccTo.size(); ++K) {
+      const uint64_t *Block = &Acc[K * W];
+      if (std::any_of(Block, Block + W, [](uint64_t V) { return V != 0; }))
+        Injections.push_back(Arrival{AccTo[K], Blocks.intern(Block)});
+    }
+    InjectOffsets[C + 1] = static_cast<uint32_t>(Injections.size());
+  }
+  InjectElsewhere.resize(InjectAtStart.size());
+  for (size_t I = 0; I < InjectAtStart.size(); ++I)
+    InjectElsewhere[I] = InjectAtStart[I] & NotAnchoredStartMask[I % W];
 }
 
 void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
@@ -145,23 +258,32 @@ void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
 
 std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
   std::vector<uint64_t> Out(static_cast<size_t>(NumStates) * Words, 0);
-  // Entries repeat each transition once per enabled symbol; the union is
-  // idempotent, so no dedup pass is needed.
-  for (const TableEntry &Entry : Entries) {
-    uint64_t *Dst = &Out[static_cast<size_t>(Entry.To) * Words];
-    const uint64_t *Bel = &BelPool[static_cast<size_t>(Entry.BelIdx) * Words];
+  // Every edge sits in a plain slot or an overflow run, once per enabled
+  // symbol; the union is idempotent, so no dedup pass is needed.
+  auto Add = [&](const Slot &Edge) {
+    uint64_t *Dst = &Out[static_cast<size_t>(Edge.To) * Words];
+    const uint64_t *Bel = &BelPool[static_cast<size_t>(Edge.BelIdx) * Words];
     for (uint32_t I = 0; I < Words; ++I)
       Dst[I] |= Bel[I];
-  }
+  };
+  for (const Slot &Edge : Slots)
+    if (!(Edge.To & OverflowFlag))
+      Add(Edge);
+  for (const Slot &Edge : Overflow)
+    Add(Edge);
   return Out;
 }
 
 size_t ImfantEngine::footprintBytes() const {
-  return Entries.size() * sizeof(TableEntry) + Offsets.size() * 4 +
-         (BelPool.size() + InitialRules.size() + FinalRules.size() +
-          NotAnchoredStartMask.size() + NotAnchoredEndMask.size()) *
+  return Rows.size() * sizeof(StateRow) +
+         Bitmaps.size() * sizeof(SymbolBitmap) +
+         (Slots.size() + Overflow.size()) * sizeof(Slot) +
+         Injections.size() * sizeof(Arrival) +
+         (InjectOffsets.size() + RowLength.size() + GlobalIds.size()) * 4 +
+         (BelPool.size() + InjectAtStart.size() + InjectElsewhere.size() +
+          FinalRules.size() + NotAnchoredEndMask.size()) *
              8 +
-         InitialAny.size() + FinalAny.size() + GlobalIds.size() * 4;
+         FinalAny.size();
 }
 
 void ImfantEngine::run(std::string_view Input, MatchRecorder &Recorder,
@@ -260,16 +382,34 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
                                      MatchRecorder &Recorder,
                                      RunStats *Stats) {
   const ImfantEngine &E = Engine;
-  // With SingleWord the compiler folds every bitset loop to one scalar op;
-  // wider MFSAs go through the runtime-dispatched SIMD kernels instead.
-  // The table is resolved once per chunk so a test switching levels between
-  // runs always scans with a consistent implementation.
+  // With SingleWord the compiler folds every bitset loop to one scalar op.
+  // Per-edge work is inline W-word loops: a frontier-driven step crosses few
+  // edges, so a call per edge would cost more than the words it combines.
   const uint32_t W = SingleWord ? 1u : E.Words;
   assert(W == E.Words && "dispatch mismatch");
   const simd::KernelTable &K = simd::ops();
   const bool Inject = InjectionEnabled;
   uint64_t *A = ActivationScratch.data();
   size_t Consumed = Chunk.size();
+
+  // Raw views of the engine tables and the step buffers: the byte stores
+  // into NextActive may alias anything, so vector members read through the
+  // containers would be reloaded after every arrival.
+  const StateRow *Rows = E.Rows.data();
+  const SymbolBitmap *Bitmaps = E.Bitmaps.data();
+  const Slot *Slots = E.Slots.data();
+  const Slot *Overflow = E.Overflow.data();
+  const uint64_t *BelPool = E.BelPool.data();
+  const Arrival *Injections = E.Injections.data();
+  const uint32_t *InjectOffsets = E.InjectOffsets.data();
+  const uint64_t *FinalRules = E.FinalRules.data();
+  const uint8_t *FinalAny = E.FinalAny.data();
+  const uint64_t *NotAnchoredEnd = E.NotAnchoredEndMask.data();
+  uint64_t *Pending = PendingAtEnd.data();
+  uint64_t *Matched = MatchedThisStep.data();
+  const uint64_t *CurJW = nullptr;
+  uint64_t *NextJW = nullptr;
+  uint8_t *NextAct = nullptr;
 
   uint64_t ActiveRuleSum = 0;
   uint32_t ActiveRuleMax = 0;
@@ -290,101 +430,112 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
     MetricsUnionScratch.assign(W, 0);
 #endif
 
+  // Arrival (Eq. 5): merge activation Act into state To and report the
+  // active rules for which To is final. Unanchored-end rules report
+  // immediately (minus pairs already reported this step, which also
+  // deduplicates a pair arriving by both propagation and injection);
+  // `$`-anchored ones park in PendingAtEnd.
+  auto Arrive = [&](StateId To, const uint64_t *Act) {
+    uint64_t *DstJ = &NextJW[static_cast<size_t>(To) * W];
+    if (!NextAct[To]) {
+      NextAct[To] = 1;
+      NextTouched.push_back(To);
+    }
+    for (uint32_t I = 0; I < W; ++I)
+      DstJ[I] |= Act[I];
+    if (!FinalAny[To])
+      return;
+    const uint64_t *Fin = &FinalRules[static_cast<size_t>(To) * W];
+    for (uint32_t I = 0; I < W; ++I) {
+      const uint64_t Arrived = Act[I] & Fin[I];
+      if (!Arrived)
+        continue;
+      Pending[I] |= Arrived & ~NotAnchoredEnd[I];
+      uint64_t Hits = Arrived & NotAnchoredEnd[I] & ~Matched[I];
+      if (!Hits)
+        continue;
+      if (!Matched[I])
+        MatchedDirtyWords.push_back(I);
+      Matched[I] |= Hits;
+      while (Hits) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
+        Hits &= Hits - 1;
+        Recorder.onMatch(E.GlobalIds[I * 64 + Bit], AbsoluteOffset);
+      }
+    }
+  };
+
+  // Crossing one edge out of an active state: J(From) ∩ bel (Eq. 6).
+  auto Propagate = [&](const uint64_t *SrcJ, const Slot &Edge) {
+    const uint64_t *Bel = &BelPool[static_cast<size_t>(Edge.BelIdx) * W];
+    uint64_t Any = 0;
+    for (uint32_t I = 0; I < W; ++I) {
+      A[I] = SrcJ[I] & Bel[I];
+      Any |= A[I];
+    }
+    if (Any)
+      Arrive(Edge.To, A);
+  };
+
   for (size_t Pos = 0; Pos < Chunk.size(); ++Pos) {
     const unsigned char C = static_cast<unsigned char>(Chunk[Pos]);
     const bool AtStart = (AbsoluteOffset == 0);
     ++AbsoluteOffset;
 
-    const uint32_t Begin = E.Offsets[C];
-    const uint32_t End = E.Offsets[C + 1];
     if (Stats) {
-      TransitionsEvaluated += End - Begin;
+      TransitionsEvaluated += E.RowLength[C];
       std::fill(UnionJ.begin(), UnionJ.end(), 0);
     }
 
     // `$`-anchored matches only survive if this symbol turns out to be the
     // stream's last; restart the pending set for this offset.
-    std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
+    std::fill(Pending, Pending + W, 0);
+    CurJW = CurJ.data();
+    NextJW = NextJ.data();
+    NextAct = NextActive.data();
 
-    for (uint32_t EIdx = Begin; EIdx < End; ++EIdx) {
-      const TableEntry &Entry = E.Entries[EIdx];
-      const bool FromActive = CurActive[Entry.From];
-      const bool FromInitial = Inject && E.InitialAny[Entry.From];
-      // iNFAnt enables a transition when it starts in an active or initial
-      // state; everything else is skipped outright.
-      if (!FromActive && !FromInitial)
+    // Propagation: each active state finds its edges on C with one bit test
+    // and one rank into the (state, symbol) table.
+    const unsigned CWord = C >> 6;
+    const uint64_t CBit = 1ULL << (C & 63);
+    [[maybe_unused]] uint64_t Touched = 0; // metrics only
+    for (StateId S : CurTouched) {
+      const StateRow Row = Rows[S];
+      const SymbolBitmap &Bm = Bitmaps[Row.Bitmap];
+      const uint64_t Bits = Bm.Bits[CWord];
+      if (!(Bits & CBit))
         continue;
-
-      const uint64_t *Bel = &E.BelPool[static_cast<size_t>(Entry.BelIdx) * W];
-      bool Any = false;
-
-      // Activation set crossing this transition: propagate J from the
-      // source (rule pruning per Eq. 6 is the ∩ bel) and inject rules whose
-      // match may begin here (Eq. 4), respecting start anchors away from
-      // offset 0.
-      if (FromActive) {
-        const uint64_t *SrcJ = &CurJ[static_cast<size_t>(Entry.From) * W];
-        if constexpr (SingleWord) {
-          A[0] = SrcJ[0] & Bel[0];
-          Any = A[0] != 0;
-        } else {
-          Any = K.AndInto(A, SrcJ, Bel, W);
-        }
+      const Slot &Edge =
+          Slots[Row.SlotBase + Bm.Rank[CWord] +
+                static_cast<uint32_t>(__builtin_popcountll(Bits & (CBit - 1)))];
+      const uint64_t *SrcJ = &CurJW[static_cast<size_t>(S) * W];
+      if (Edge.To & OverflowFlag) {
+        const Slot *Run = &Overflow[Edge.To & ~OverflowFlag];
+        for (uint32_t I = 0; I < Edge.BelIdx; ++I)
+          Propagate(SrcJ, Run[I]);
+        Touched += Edge.BelIdx;
       } else {
-        std::fill(ActivationScratch.begin(), ActivationScratch.end(), 0);
+        Propagate(SrcJ, Edge);
+        ++Touched;
       }
-      if (FromInitial) {
-        const uint64_t *Init =
-            &E.InitialRules[static_cast<size_t>(Entry.From) * W];
-        if constexpr (SingleWord) {
-          uint64_t Inject = Init[0] & Bel[0];
-          if (!AtStart)
-            Inject &= E.NotAnchoredStartMask[0];
-          A[0] |= Inject;
-          Any = Any || A[0];
-        } else {
-          Any = K.OrAndInto(A, Init, Bel,
-                            AtStart ? nullptr : E.NotAnchoredStartMask.data(),
-                            W);
-        }
-      }
-      if (!Any)
-        continue;
+    }
 
-      // Arrival: merge the activation set into the destination state.
-      uint64_t *DstJ = &NextJ[static_cast<size_t>(Entry.To) * W];
-      if (!NextActive[Entry.To]) {
-        NextActive[Entry.To] = 1;
-        NextTouched.push_back(Entry.To);
-      }
-      if constexpr (SingleWord)
-        DstJ[0] |= A[0];
-      else
-        K.OrWords(DstJ, A, W);
-
-      // Match reporting (Eq. 5): active rules for which the destination is
-      // final. Unanchored-end rules report immediately (minus pairs already
-      // reported this step); `$`-anchored ones park in PendingAtEnd.
-      if (E.FinalAny[Entry.To]) {
-        const uint64_t *Fin = &E.FinalRules[static_cast<size_t>(Entry.To) * W];
-        for (uint32_t I = 0; I < W; ++I) {
-          uint64_t Arrived = A[I] & Fin[I];
-          if (!Arrived)
-            continue;
-          PendingAtEnd[I] |= Arrived & ~E.NotAnchoredEndMask[I];
-          uint64_t Hits =
-              Arrived & E.NotAnchoredEndMask[I] & ~MatchedThisStep[I];
-          if (!Hits)
-            continue;
-          if (!MatchedThisStep[I])
-            MatchedDirtyWords.push_back(I);
-          MatchedThisStep[I] |= Hits;
-          while (Hits) {
-            unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
-            Hits &= Hits - 1;
-            Recorder.onMatch(E.GlobalIds[I * 64 + Bit], AbsoluteOffset);
-          }
-        }
+    // Injection (Eq. 4): C's precomputed arrivals, with `^`-anchored rules
+    // masked out of every block away from offset 0.
+    if (Inject) {
+      const uint64_t *Pool =
+          AtStart ? E.InjectAtStart.data() : E.InjectElsewhere.data();
+      const uint32_t Begin = InjectOffsets[C];
+      const uint32_t End = InjectOffsets[C + 1];
+      Touched += End - Begin;
+      for (uint32_t I = Begin; I < End; ++I) {
+        const Arrival &In = Injections[I];
+        const uint64_t *Block = &Pool[static_cast<size_t>(In.Block) * W];
+        uint64_t Any = 0;
+        for (uint32_t Wd = 0; Wd < W; ++Wd)
+          Any |= Block[Wd];
+        if (Any)
+          Arrive(In.To, Block);
       }
     }
 
@@ -401,11 +552,11 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
 
 #if MFSA_METRICS_ENABLED
     if (Observed) {
-      ChunkTransitions += End - Begin;
+      ChunkTransitions += Touched;
       if (++MetricsTick >= SampleEvery) {
         MetricsTick = 0;
         E.Metrics.Frontier->observe(NextTouched.size());
-        E.Metrics.TransitionsPerByte->observe(End - Begin);
+        E.Metrics.TransitionsPerByte->observe(Touched);
         // Active-set occupancy |∪ J(q)| — the paper's Table II quantity.
         std::fill(MetricsUnionScratch.begin(), MetricsUnionScratch.end(), 0);
         for (StateId S : NextTouched)

@@ -8,13 +8,9 @@
 /// Declares ImfantEngine, the execution engine of the paper's §V: an
 /// extension of the iNFAnt NFA-matching algorithm that supports MFSAs.
 ///
-/// Like iNFAnt, the engine pre-processes the automaton into a data structure
-/// "linking each symbol in a standard 256-characters alphabet to the
-/// transitions it enables" and keeps a state vector of active states; all
-/// transitions enabled by the current symbol are evaluated per input
-/// character. The iMFAnt extension stores, for each active state, "the
-/// result of the activation function upon reaching it": a per-state rule
-/// bitset J maintained according to the paper's rules (4)-(6):
+/// The engine keeps a state vector of active states and, for each active
+/// state, "the result of the activation function upon reaching it": a
+/// per-state rule bitset J maintained according to the paper's rules (4)-(6):
 ///
 ///   (4) crossing a transition out of rule j's initial state activates j;
 ///   (5) arriving in a final state of an active rule j reports a match;
@@ -22,8 +18,29 @@
 ///       — implemented as J(q1) ∩ bel(t), since `bel` records exactly which
 ///       rules own each transition.
 ///
-/// Running a single-rule MFSA (merging factor M = 1) degenerates to the
-/// original iNFAnt algorithm and serves as the paper's baseline.
+/// iNFAnt links each symbol to every transition it enables and walks that
+/// whole row per input byte, although most entries leave inactive states:
+/// on the Table I datasets at M = all a row holds 4-25x more entries than
+/// the edges and injection arrivals a byte actually needs. This engine
+/// instead pre-processes the MFSA into two tables whose per-byte cost
+/// follows the frontier:
+///
+///   - a propagation table indexed by (state, symbol): each state owns a
+///     pooled 256-bit out-label bitmap with per-word popcount prefixes, so
+///     the edges an active state takes on byte c are found with one bit test
+///     and one rank, in an 8-byte {To, BelIdx} slot per (state, symbol) pair
+///     (a nondeterministic pair's edges sit in an overflow run the slot
+///     points to);
+///   - an injection table per symbol: the Eq. 4 arrivals of byte c as
+///     precomputed (To, block) pairs, block being InitialRules(q) ∩ bel(t)
+///     OR-ed over every initial-source transition on c reaching To — one
+///     block pool for offset 0 and one masked by the start anchors for every
+///     other offset.
+///
+/// Per-byte work is thus O(active states + enabled edges + injection
+/// arrivals) rather than O(symbol-row length). Running a single-rule MFSA
+/// (merging factor M = 1) degenerates to the original iNFAnt algorithm and
+/// serves as the paper's baseline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,13 +119,16 @@ struct RunStats {
   double AvgActiveRules = 0.0;  ///< Mean |∪ J(q)| over steps.
   uint32_t MaxActiveRules = 0;  ///< Peak |∪ J(q)| over steps.
   uint32_t MaxFrontier = 0;     ///< Peak simultaneously-active states.
-  uint64_t TransitionsEvaluated = 0; ///< Total per-symbol table entries seen.
+  /// Total symbol-row lengths over the consumed bytes: the transitions the
+  /// byte enables anywhere in the automaton (Table II's per-character
+  /// figure), not the edges the scan actually touched.
+  uint64_t TransitionsEvaluated = 0;
 };
 
 /// The iMFAnt engine. Construction performs the algorithm's pre-processing
-/// (symbol-indexed transition table, belonging pool, per-state activation
-/// metadata); run() is const and allocates only per-run scratch, so one
-/// engine may be shared across threads.
+/// ((state, symbol)-indexed propagation table, per-symbol injection table,
+/// belonging pool, per-state final metadata); run() is const and allocates
+/// only per-run scratch, so one engine may be shared across threads.
 class ImfantEngine {
 public:
   explicit ImfantEngine(const Mfsa &Z);
@@ -225,8 +245,9 @@ public:
   /// against concurrent run() calls: attach before sharing the engine.
   void setMetrics(obs::MetricsRegistry *Registry);
 
-  /// Bytes of the pre-processed matching structure (transition table plus
-  /// activation metadata), a memory-footprint proxy for the benches.
+  /// Bytes of every table the engine owns (propagation and injection tables,
+  /// block pools, final-state metadata), a memory-footprint proxy for the
+  /// benches.
   size_t footprintBytes() const;
 
 private:
@@ -244,31 +265,65 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  /// One entry of the per-symbol transition table.
-  struct TableEntry {
-    StateId From;
+  /// One (state, symbol) slot of the propagation table: the pair's single
+  /// edge, or — when To carries OverflowFlag — a run of BelIdx edges
+  /// starting at Overflow[To & ~OverflowFlag].
+  struct Slot {
     StateId To;
     uint32_t BelIdx; ///< Index into BelPool (words offset = BelIdx * Words).
+  };
+  static constexpr uint32_t OverflowFlag = 1u << 31;
+
+  /// A pooled out-label bitmap: the symbols on which a state has at least
+  /// one edge, with Rank[w] = popcount of Bits[0..w) so a symbol's slot
+  /// index is one popcount away.
+  struct SymbolBitmap {
+    uint64_t Bits[4];
+    uint16_t Rank[4];
+  };
+
+  /// Per-state entry point into the propagation table.
+  struct StateRow {
+    uint32_t SlotBase; ///< First slot of the state's (state, symbol) pairs.
+    uint32_t Bitmap;   ///< Index into Bitmaps.
+  };
+
+  /// A precomputed injection arrival (Eq. 4) for one symbol.
+  struct Arrival {
+    StateId To;
+    uint32_t Block; ///< Index into the injection block pools.
   };
 
   uint32_t NumStates = 0;
   uint32_t NumRules = 0;
   uint32_t Words = 0; ///< 64-bit words per rule bitset.
 
-  /// Symbol-indexed table: Table[c] spans [Offsets[c], Offsets[c+1]).
-  std::vector<TableEntry> Entries;
-  std::vector<uint32_t> Offsets; ///< 257 entries.
+  /// Propagation table: state S's edges on symbol c live in
+  /// Slots[Rows[S].SlotBase + rank of c in Bitmaps[Rows[S].Bitmap]].
+  std::vector<StateRow> Rows;
+  std::vector<SymbolBitmap> Bitmaps;
+  std::vector<Slot> Slots;
+  std::vector<Slot> Overflow; ///< Runs of nondeterministic pairs' edges.
 
   std::vector<uint64_t> BelPool; ///< Deduplicated belonging bitsets.
 
-  /// Per-state activation metadata, flat Words-wide blocks.
-  std::vector<uint64_t> InitialRules; ///< Rules whose initial state is q.
-  std::vector<uint64_t> FinalRules;   ///< Rules for which q is final.
-  std::vector<uint8_t> InitialAny;
+  /// Injection table: symbol c's arrivals span
+  /// Injections[InjectOffsets[c], InjectOffsets[c+1]); block i occupies
+  /// Words words at i * Words of InjectAtStart (offset 0) and of
+  /// InjectElsewhere (the same block minus `^`-anchored rules).
+  std::vector<Arrival> Injections;
+  std::vector<uint32_t> InjectOffsets; ///< 257 entries.
+  std::vector<uint64_t> InjectAtStart;
+  std::vector<uint64_t> InjectElsewhere;
+
+  /// Transitions each symbol enables (RunStats::TransitionsEvaluated).
+  std::vector<uint32_t> RowLength; ///< 256 entries.
+
+  /// Per-state final metadata, flat Words-wide blocks.
+  std::vector<uint64_t> FinalRules; ///< Rules for which q is final.
   std::vector<uint8_t> FinalAny;
 
-  /// Masks excluding anchored rules away from their anchor position.
-  std::vector<uint64_t> NotAnchoredStartMask;
+  /// Mask excluding `$`-anchored rules away from the stream's end.
   std::vector<uint64_t> NotAnchoredEndMask;
 
   std::vector<uint32_t> GlobalIds; ///< Local rule -> dataset rule id.

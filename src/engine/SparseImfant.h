@@ -6,12 +6,13 @@
 ///
 /// \file
 /// Declares SparseImfantEngine, an alternative execution layout for MFSAs.
-/// iNFAnt (and ImfantEngine) is *symbol-major*: per input character it scans
-/// every transition that character enables — the GPU-friendly layout of the
-/// original algorithm. This variant is *state-major*: it keeps an explicit
-/// list of active states and walks only their outgoing transitions (CSR
-/// adjacency), the layout a CPU engine would naturally choose when few
-/// states are active. The ablation bench `abl_engine_variants` measures
+/// iNFAnt is *symbol-major*: per input character it scans every transition
+/// that character enables — the GPU-friendly layout of the original
+/// algorithm. ImfantEngine follows the active states and finds each one's
+/// edges on a byte with one (state, symbol) lookup. This variant is the
+/// plain *state-major* layout: it keeps an explicit list of active states
+/// and walks all their outgoing transitions (CSR adjacency), testing each
+/// edge's label against the byte. The ablation bench `abl_engine_variants` measures
 /// where each layout wins as active-set pressure changes; the test suite
 /// checks the two engines report identical matches.
 ///

@@ -3,7 +3,8 @@
 // Part of the mfsa project. MIT License.
 //
 // Runs the same seeded rulesets and inputs through every execution engine the
-// library ships — symbol-major iMFAnt, state-major sparse iMFAnt, the union
+// library ships — (state, symbol)-indexed dense iMFAnt, label-scanning
+// state-major sparse iMFAnt, the union
 // DFA, the stride-2 DFA, and the literal prefilter — plus the brute-force AST
 // oracle, and asserts identical per-rule match-end sets. Everything derives
 // from one deterministic RNG seed, so any failure reproduces from the
@@ -240,6 +241,21 @@ TEST(Differential, LiteralHeavyRules) {
   checkRuleset(4243, Patterns, Inputs);
 }
 
+TEST(Differential, FrontierAndInjectionTablePaths) {
+  // The dense engine's table corners: initial states re-entered by loops
+  // (active and injecting on one byte), nondeterministic (state, symbol)
+  // pairs stored as overflow runs, and start/end anchors on states that
+  // unanchored rules share.
+  Rng Random(4247);
+  std::vector<std::string> Patterns = {"(ab)*c", "ca*ab", "d(a|ab)b",
+                                       "^(ab)+", "ab",    "b(ab)*$",
+                                       "[ab]*b[ab]"};
+  std::vector<std::string> Inputs = {"ababc", "caaab", "dabb", "babab", ""};
+  for (int Trial = 0; Trial < 3; ++Trial)
+    Inputs.push_back(randomInput(Random, 36));
+  checkRuleset(4247, Patterns, Inputs);
+}
+
 TEST(Differential, SelfOverlappingRules) {
   Rng Random(4244);
   std::vector<std::string> Patterns = {"aa", "(ab)+", "a{2,4}b?"};
@@ -252,9 +268,10 @@ TEST(Differential, SelfOverlappingRules) {
 //===----------------------------------------------------------------------===//
 // Wide rulesets: everything above stays under 64 rules, where the iMFAnt
 // engines take their single-word scalar fast path. These rule counts force
-// multi-word activation sets (70 rules -> 2 words, 261 -> 5) so the fused
-// AndInto/OrAndInto kernels — including the 256-bit main loop plus its tail —
-// are what actually executes at each dispatch level.
+// multi-word activation sets (70 rules -> 2 words, 261 -> 5): the dense
+// engine's inline W-word loops and the sparse engine's fused AndInto kernels
+// — including the 256-bit main loop plus its tail — are what actually
+// executes at each dispatch level.
 //===----------------------------------------------------------------------===//
 
 namespace {

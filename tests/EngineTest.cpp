@@ -369,6 +369,141 @@ TEST(Imfant, FootprintGrowsWithAutomaton) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frontier-driven table paths: the (state, symbol) propagation table and the
+// per-symbol injection table, each against the AST oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool isInitial(const Mfsa &Z, StateId S) {
+  for (RuleId R = 0; R < Z.numRules(); ++R)
+    if (Z.rule(R).Initial == S)
+      return true;
+  return false;
+}
+
+/// True when some rule's initial state is also a transition target, so it
+/// can be active (propagation) and initial (injection) on the same byte.
+bool hasEdgeIntoInitial(const Mfsa &Z) {
+  for (const MfsaTransition &T : Z.transitions())
+    if (isInitial(Z, T.To))
+      return true;
+  return false;
+}
+
+/// True when some (state, symbol) pair has two or more edges — the pairs
+/// the propagation table stores as an overflow run — on a state that is
+/// no rule's initial state, so only propagation (not injection, which
+/// covers every edge out of an initial state) can cross them.
+bool hasNondeterministicPair(const Mfsa &Z) {
+  const std::vector<MfsaTransition> &Ts = Z.transitions();
+  for (size_t I = 0; I < Ts.size(); ++I)
+    for (size_t J = I + 1; J < Ts.size(); ++J)
+      if (Ts[I].From == Ts[J].From && Ts[I].Label.intersects(Ts[J].Label) &&
+          !isInitial(Z, Ts[I].From))
+        return true;
+  return false;
+}
+
+} // namespace
+
+TEST(Imfant, StateActiveAndInitialOnSameByte) {
+  // (ab)*c loops back into its initial state: after "ab" that state is
+  // active and, on the next 'a', also injects a fresh attempt; both arrive
+  // at the same destination and must report each match once.
+  std::vector<std::string> Patterns = {"(ab)*c", "(ab)+d", "b(ab)*"};
+  Mfsa Z = mergePatterns(Patterns);
+  ASSERT_TRUE(hasEdgeIntoInitial(Z));
+  Rng Random(4301);
+  std::vector<std::string> Inputs = {"ababc", "abababd", "babab", "aabbc"};
+  for (int Trial = 0; Trial < 6; ++Trial)
+    Inputs.push_back(randomInput(Random, 40));
+  for (const std::string &Input : Inputs)
+    EXPECT_EQ(engineEnds(Z, Input), oracleEnds(Patterns, Input)) << Input;
+  ImfantEngine Engine(Z);
+  MatchRecorder Recorder;
+  Engine.run("ababc", Recorder);
+  // (ab)*c ends at 5 once, however many paths reach it; b(ab)* at 2 and 4.
+  EXPECT_EQ(Recorder.total(), 3u);
+}
+
+TEST(Imfant, NondeterministicPairsUseOverflowRuns) {
+  std::vector<std::string> Patterns = {"ca*ab", "d(a|ab)b", "[ab]*b[ab]",
+                                       "(ab|ac)d"};
+  Mfsa Z = mergePatterns(Patterns);
+  ASSERT_TRUE(hasNondeterministicPair(Z));
+  Rng Random(4302);
+  std::vector<std::string> Inputs = {"caaab", "dabb", "dab", "acdabd"};
+  for (int Trial = 0; Trial < 6; ++Trial)
+    Inputs.push_back(randomInput(Random, 40));
+  for (const std::string &Input : Inputs)
+    EXPECT_EQ(engineEnds(Z, Input), oracleEnds(Patterns, Input)) << Input;
+}
+
+TEST(Imfant, StartAnchorAtZeroAndAfterStartAt) {
+  // ^ab shares its initial state with ab: the offset-0 injection block
+  // carries both rules, every later block only ab.
+  std::vector<std::string> Patterns = {"^ab", "ab", "^(ab)+c"};
+  Mfsa Z = mergePatterns(Patterns);
+  ImfantEngine Engine(Z);
+  const std::string Chunk = "ababcab";
+  EXPECT_EQ(engineEnds(Z, Chunk), oracleEnds(Patterns, Chunk));
+
+  // The same bytes seen from offset 10: no `^` rule may fire, and the
+  // unanchored rule reports absolute offsets.
+  MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+  ImfantEngine::Scanner Scan(Engine);
+  Scan.startAt(10);
+  Scan.feed(Chunk, Recorder);
+  Scan.finish(Recorder);
+  std::map<uint32_t, std::set<size_t>> Shifted;
+  for (size_t End : oracleEnds({"ab"}, Chunk)[0])
+    Shifted[1].insert(End + 10);
+  EXPECT_EQ(recorderEnds(Recorder), Shifted);
+}
+
+TEST(Imfant, DollarRuleParksInPendingAtEnd) {
+  std::vector<std::string> Patterns = {"ab$", "ab", "(ab)*$"};
+  Mfsa Z = mergePatterns(Patterns);
+  for (const std::string Input : {"ab", "abab", "abx", "xab", ""})
+    EXPECT_EQ(engineEnds(Z, Input), oracleEnds(Patterns, Input)) << Input;
+}
+
+TEST(Imfant, SingleAndMultiWordRuleSetsAgainstOracle) {
+  // 40 rules fold to the SingleWord instantiation, 70 and 140 to two and
+  // three words; anchored and looping rules ride along in every width.
+  for (size_t Count : {40u, 70u, 140u}) {
+    Rng Random(4303 + Count);
+    std::vector<std::string> Patterns;
+    while (Patterns.size() + 4 < Count)
+      Patterns.push_back(randomPattern(Random, /*MaxDepth=*/3));
+    for (const char *P : {"^a[bc]+", "(ab)*c", "a*ab", "[cd]b$"})
+      Patterns.push_back(P);
+    Mfsa Z = mergePatterns(Patterns);
+    ASSERT_EQ(ImfantEngine(Z).ruleWords(), (Count + 63) / 64);
+    for (int Trial = 0; Trial < 4; ++Trial) {
+      std::string Input = randomInput(Random, 30 + Random.nextBelow(30));
+      EXPECT_EQ(engineEnds(Z, Input), oracleEnds(Patterns, Input))
+          << Count << " rules, input " << Input;
+    }
+  }
+}
+
+TEST(Imfant, RowLengthStatsCountWholeSymbolRows) {
+  // TransitionsEvaluated keeps Table II's meaning: every transition the
+  // byte enables, however few of them leave active states.
+  Mfsa Z = mergePatterns({"ab", "cb", "b+"});
+  size_t RowB = 0;
+  for (const MfsaTransition &T : Z.transitions())
+    RowB += T.Label.contains('b');
+  ImfantEngine Engine(Z);
+  MatchRecorder Recorder;
+  RunStats Stats;
+  Engine.run("bbb", Recorder, &Stats);
+  EXPECT_EQ(Stats.TransitionsEvaluated, 3 * RowB);
+}
+
+//===----------------------------------------------------------------------===//
 // Activation tracing agrees with the engine
 //===----------------------------------------------------------------------===//
 

@@ -210,6 +210,93 @@ TEST(Scanner, MatchStraddlingThreeConsecutiveBoundaries) {
             oneShot(Engine, Input));
 }
 
+TEST(Scanner, FrontierTablePathsUnderAdversarialChunkings) {
+  // Rulesets aimed at the dense engine's two tables: a state active and
+  // initial on the same byte ((ab)*c), nondeterministic (state, symbol)
+  // pairs past the initial state (ca*ab, d(a|ab)b), `^` at offset 0 only,
+  // and `$` parked in PendingAtEnd across feeds — at one word and at two
+  // (70 rules).
+  const std::vector<std::string> Core = {"(ab)*c", "ca*ab", "d(a|ab)b",
+                                         "^a[bc]*", "b[ad]$"};
+  Rng Random(815);
+  for (size_t Count : {Core.size(), size_t(70)}) {
+    std::vector<std::string> Patterns = Core;
+    while (Patterns.size() < Count)
+      Patterns.push_back(randomPattern(Random, /*MaxDepth=*/3));
+    Mfsa Z = mergePatterns(Patterns);
+    ImfantEngine Engine(Z);
+    ASSERT_EQ(Engine.ruleWords(), (Count + 63) / 64);
+    for (int Round = 0; Round < 3; ++Round) {
+      std::string Input = randomInput(Random, 50);
+      auto Expected = oracleRuleEnds(Patterns, Input);
+      for (const std::vector<uint64_t> &Cuts :
+           adversarialCuts(Random, Input, Expected)) {
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        ImfantEngine::Scanner Scan(Engine);
+        for (std::string_view Chunk : chunksFromCuts(Input, Cuts))
+          Scan.feed(Chunk, Recorder);
+        Scan.finish(Recorder);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << Count << " rules, input " << Input;
+      }
+    }
+  }
+}
+
+TEST(Scanner, SeededPropagationRoundTrips) {
+  // The input-parallel decomposition at every cut: the prefix scan's
+  // captured frontier, seeded into an injection-off scanner, plus a fresh
+  // scanner started at the cut, together reproduce the whole-stream match
+  // set; and seeding then capturing returns the configuration unchanged.
+  Rng Random(816);
+  for (size_t Count : {size_t(4), size_t(70)}) {
+    std::vector<std::string> Patterns = {"(ab)*c", "ca*ab", "^a[bc]*",
+                                         "b[ad]$"};
+    while (Patterns.size() < Count)
+      Patterns.push_back(randomPattern(Random, /*MaxDepth=*/3));
+    Mfsa Z = mergePatterns(Patterns);
+    ImfantEngine Engine(Z);
+    std::string Input = randomInput(Random, 40);
+    auto Expected = oracleRuleEnds(Patterns, Input);
+    for (size_t Cut = 0; Cut <= Input.size(); ++Cut) {
+      const std::string_view Prefix = std::string_view(Input).substr(0, Cut);
+      const std::string_view Suffix = std::string_view(Input).substr(Cut);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      ImfantEngine::Scanner Head(Engine);
+      Head.feed(Prefix, Recorder);
+      const ActivationSet Carry = Head.captureActivation();
+      if (Suffix.empty())
+        Head.finish(Recorder); // `$` hits at the cut are at the stream end
+
+      ImfantEngine::Scanner Echo(Engine);
+      Echo.startAt(Cut);
+      Echo.setInjection(false);
+      Echo.seedActivation(Carry);
+      const ActivationSet Back = Echo.captureActivation();
+      EXPECT_EQ(Back.States, Carry.States) << "cut " << Cut;
+      EXPECT_EQ(Back.RuleBlocks, Carry.RuleBlocks) << "cut " << Cut;
+      EXPECT_EQ(Echo.frontierEmpty(), Carry.empty());
+
+      ImfantEngine::Scanner Carried(Engine);
+      Carried.startAt(Cut);
+      Carried.setInjection(false);
+      Carried.seedActivation(Carry);
+      Carried.feed(Suffix, Recorder);
+      if (Carried.offset() == Input.size())
+        Carried.finish(Recorder);
+      else
+        EXPECT_TRUE(Carried.frontierEmpty()) << "cut " << Cut;
+
+      ImfantEngine::Scanner Fresh(Engine);
+      Fresh.startAt(Cut);
+      Fresh.feed(Suffix, Recorder);
+      Fresh.finish(Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected)
+          << Count << " rules, cut " << Cut << " input " << Input;
+    }
+  }
+}
+
 TEST(Scanner, StatsAccumulateAcrossFeeds) {
   Mfsa Z = mergePatterns({"aa", "ab"});
   ImfantEngine Engine(Z);
