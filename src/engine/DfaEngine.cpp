@@ -7,7 +7,6 @@
 #include "engine/DfaEngine.h"
 
 #include "obs/Metrics.h"
-#include "support/SimdDispatch.h"
 
 using namespace mfsa;
 
@@ -30,13 +29,10 @@ void DfaEngine::setMetrics(obs::MetricsRegistry *Registry) {
 }
 
 void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
-  const uint32_t NumAtoms = Automaton.NumAtoms;
-  const uint32_t *Next = Automaton.Next.data();
-  const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-  // Resolve the SIMD dispatch once per scan; the per-byte accept probe then
-  // calls the kernel directly instead of re-loading the table through
-  // DynamicBitset::any().
-  const simd::KernelTable &K = simd::ops();
+  const Dfa &D = Automaton;
+  auto Report = [&Recorder](uint32_t Rule, uint64_t End) {
+    Recorder.onMatch(Rule, End);
+  };
 
 #if MFSA_METRICS_ENABLED
   const bool Observed = Metrics.Bytes != nullptr;
@@ -45,22 +41,10 @@ void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
   uint64_t MatchesBefore = Recorder.total();
 #endif
 
-  uint32_t State = Automaton.start();
+  uint32_t Row = D.start() * D.NumAtoms;
   for (size_t Pos = 0; Pos < Input.size(); ++Pos) {
-    State = Next[static_cast<size_t>(State) * NumAtoms +
-                 AtomOf[static_cast<unsigned char>(Input[Pos])]];
-    const DynamicBitset &Accept = Automaton.Accept[State];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
-      Accept.forEach([&](unsigned Rule) {
-        Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
-      });
-    if (Pos + 1 == Input.size()) {
-      const DynamicBitset &AtEnd = Automaton.AcceptAtEnd[State];
-      if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
-        AtEnd.forEach([&](unsigned Rule) {
-          Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
-        });
-    }
+    Row = stepDfa(D, Row, static_cast<unsigned char>(Input[Pos]), Pos + 1,
+                  Report);
 #if MFSA_METRICS_ENABLED
     if (Observed && ++MetricsTick >= SampleEvery) {
       MetricsTick = 0;
@@ -70,6 +54,8 @@ void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
     }
 #endif
   }
+  if (!Input.empty())
+    emitDfaAtEnd(D, Row, Input.size(), Report);
 
 #if MFSA_METRICS_ENABLED
   if (Observed) {

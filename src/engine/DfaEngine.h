@@ -23,6 +23,31 @@
 
 namespace mfsa {
 
+/// The DFA family's one scan step over Determinize.h's encoded table: from
+/// the pre-multiplied row \p Row on \p Byte, returns the successor's row
+/// and, only when the entry carries Dfa::AcceptTag, reports the successor's
+/// Accept rules ending at \p EndOffset as Emit(global rule, end).
+/// DfaEngine::run and the input-parallel DFA backend share it.
+template <class EmitT>
+inline uint32_t stepDfa(const Dfa &D, uint32_t Row, unsigned char Byte,
+                        uint64_t EndOffset, EmitT &&Emit) {
+  const uint32_t Enc = D.Next[Row + D.AtomOfByte[Byte]];
+  Row = Enc & Dfa::RowMask;
+  if (Enc & Dfa::AcceptTag) [[unlikely]]
+    D.Accept[Row / D.NumAtoms].forEach(
+        [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
+  return Row;
+}
+
+/// Reports the AcceptAtEnd rules of the state at \p Row; called once, after
+/// the stream's final byte.
+template <class EmitT>
+inline void emitDfaAtEnd(const Dfa &D, uint32_t Row, uint64_t EndOffset,
+                         EmitT &&Emit) {
+  D.AcceptAtEnd[Row / D.NumAtoms].forEach(
+      [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
+}
+
 /// Executes a scanning Dfa over an input stream. Construction borrows the
 /// Dfa (which must outlive the engine); run() is const and thread-safe.
 class DfaEngine {

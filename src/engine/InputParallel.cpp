@@ -6,12 +6,13 @@
 
 #include "engine/InputParallel.h"
 
+#include "engine/DfaEngine.h"
 #include "obs/Metrics.h"
-#include "support/SimdDispatch.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <limits>
 #include <map>
@@ -87,6 +88,31 @@ void forEachChunk(bool UseThreadPool, unsigned Threads, size_t N, Fn &&Body) {
   }
 }
 
+/// Cut positions (chunk boundaries including 0 and \p Len) for \p Len
+/// bytes under \p Opts.
+std::vector<uint64_t> chunkBoundaries(size_t Len,
+                                      const InputParallelOptions &Opts) {
+  std::vector<uint64_t> Bounds;
+  if (!Opts.CutOverride.empty()) {
+    Bounds.push_back(0);
+    for (uint64_t Cut : Opts.CutOverride)
+      Bounds.push_back(std::min<uint64_t>(Cut, Len));
+    std::sort(Bounds.begin(), Bounds.end());
+    Bounds.push_back(Len);
+    return Bounds;
+  }
+  size_t Chunks = std::max<unsigned>(1, Opts.Threads);
+  if (Opts.MinChunkBytes)
+    Chunks = std::min<size_t>(
+        Chunks, std::max<size_t>(1, Len / Opts.MinChunkBytes));
+  Bounds.reserve(Chunks + 1);
+  Bounds.push_back(0);
+  for (size_t I = 1; I < Chunks; ++I)
+    Bounds.push_back(Len * I / Chunks);
+  Bounds.push_back(Len);
+  return Bounds;
+}
+
 } // namespace
 
 double InputParallelStats::modeledWallSeconds() const {
@@ -94,6 +120,25 @@ double InputParallelStats::modeledWallSeconds() const {
   for (double S : ChunkPhase1Seconds)
     Slowest = std::max(Slowest, S);
   return Slowest + JoinSeconds;
+}
+
+void InputParallelStats::merge(const InputParallelStats &Group) {
+  Threads = std::max(Threads, Group.Threads);
+  Chunks += Group.Chunks;
+  SpecDeadChunks += Group.SpecDeadChunks;
+  SpecTableChunks += Group.SpecTableChunks;
+  RescanFallbackChunks += Group.RescanFallbackChunks;
+  OverlapBytes += Group.OverlapBytes;
+  SpecStartRuns += Group.SpecStartRuns;
+  MaxSpecFrontier = std::max(MaxSpecFrontier, Group.MaxSpecFrontier);
+  MaxAliveClasses = std::max(MaxAliveClasses, Group.MaxAliveClasses);
+  IsoMatches += Group.IsoMatches;
+  CarryMatches += Group.CarryMatches;
+  if (ChunkPhase1Seconds.size() < Group.ChunkPhase1Seconds.size())
+    ChunkPhase1Seconds.resize(Group.ChunkPhase1Seconds.size(), 0.0);
+  for (size_t I = 0; I < Group.ChunkPhase1Seconds.size(); ++I)
+    ChunkPhase1Seconds[I] += Group.ChunkPhase1Seconds[I];
+  JoinSeconds += Group.JoinSeconds;
 }
 
 void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
@@ -159,28 +204,6 @@ InputParallelRun::InputParallelRun(const StridedDfa &Automaton,
                                    InputParallelOptions Options)
     : Kind(Backend::Stride2), Opts(std::move(Options)), Strided(&Automaton) {}
 
-std::vector<uint64_t> InputParallelRun::chunkBoundaries(size_t Len) const {
-  std::vector<uint64_t> Bounds;
-  if (!Opts.CutOverride.empty()) {
-    Bounds.push_back(0);
-    for (uint64_t Cut : Opts.CutOverride)
-      Bounds.push_back(std::min<uint64_t>(Cut, Len));
-    std::sort(Bounds.begin(), Bounds.end());
-    Bounds.push_back(Len);
-    return Bounds;
-  }
-  size_t Chunks = std::max<unsigned>(1, Opts.Threads);
-  if (Opts.MinChunkBytes)
-    Chunks = std::min<size_t>(
-        Chunks, std::max<size_t>(1, Len / Opts.MinChunkBytes));
-  Bounds.reserve(Chunks + 1);
-  Bounds.push_back(0);
-  for (size_t I = 1; I < Chunks; ++I)
-    Bounds.push_back(Len * I / Chunks);
-  Bounds.push_back(Len);
-  return Bounds;
-}
-
 //===----------------------------------------------------------------------===//
 // iMFAnt backend
 //===----------------------------------------------------------------------===//
@@ -220,11 +243,16 @@ constexpr size_t UnlimitedCap = std::numeric_limits<size_t>::max();
 } // namespace
 
 void InputParallelRun::runImfant(std::string_view Input,
-                                 const std::vector<uint64_t> &Bounds,
                                  MatchRecorder &Recorder,
                                  InputParallelStats *Stats) const {
   const ImfantEngine &Engine = *Imfant;
+  const std::vector<uint64_t> Bounds = chunkBoundaries(Input.size(), Opts);
   const size_t NumChunks = Bounds.size() - 1;
+  if (Stats) {
+    Stats->Threads = static_cast<unsigned>(NumChunks);
+    Stats->Chunks = NumChunks;
+    Stats->ChunkPhase1Seconds.assign(NumChunks, 0.0);
+  }
   const uint64_t StreamEnd = Input.size();
   std::vector<ImfChunkWork> Work(NumChunks);
 
@@ -457,35 +485,27 @@ void InputParallelRun::runImfant(std::string_view Input,
 namespace {
 
 /// Single-byte stepping over a scanning Dfa with DfaEngine's exact accept
-/// semantics (Accept probed after every byte; AcceptAtEnd only after the
-/// stream's final byte, via emitAtEnd).
+/// semantics (the shared stepDfa; AcceptAtEnd only after the stream's final
+/// byte, via emitAtEnd). The scan carries pre-multiplied rows, so a state's
+/// index is its row divided by the atom count.
 struct DfaPolicy {
   const Dfa &D;
-  const simd::KernelTable &K;
 
   uint32_t numStates() const { return D.NumStates; }
+  uint32_t rowOf(uint32_t State) const { return State * D.NumAtoms; }
+  uint32_t stateOf(uint32_t Row) const { return Row / D.NumAtoms; }
   size_t stepLen(uint64_t, size_t) const { return 1; }
 
   template <class EmitT>
-  uint32_t step(uint32_t State, std::string_view Chunk, size_t Pos,
+  uint32_t step(uint32_t Row, std::string_view Chunk, size_t Pos,
                 uint64_t Base, EmitT &&Emit) const {
-    const uint32_t Next =
-        D.Next[static_cast<size_t>(State) * D.NumAtoms +
-               D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos])]];
-    const DynamicBitset &Accept = D.Accept[Next];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
-      Accept.forEach([&](unsigned Rule) {
-        Emit(D.GlobalIds[Rule], Base + Pos + 1);
-      });
-    return Next;
+    return stepDfa(D, Row, static_cast<unsigned char>(Chunk[Pos]),
+                   Base + Pos + 1, Emit);
   }
 
   template <class EmitT>
-  void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
-      AtEnd.forEach(
-          [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
+  void emitAtEnd(uint32_t Row, uint64_t EndOffset, EmitT &&Emit) const {
+    emitDfaAtEnd(D, Row, EndOffset, Emit);
   }
 };
 
@@ -493,21 +513,21 @@ struct DfaPolicy {
 /// stream offsets, so a chunk whose base (or tail) splits a pair takes
 /// single Mid half-steps at the ragged edges — Mid is the stride-1 table,
 /// so the output stays byte-identical to the sequential strided engine
-/// under arbitrary adversarial cuts.
+/// under arbitrary adversarial cuts. Its scan carries plain state ids.
 struct StridedPolicy {
   const StridedDfa &D;
-  const simd::KernelTable &K;
 
   uint32_t numStates() const { return D.NumStates; }
+  uint32_t rowOf(uint32_t State) const { return State; }
+  uint32_t stateOf(uint32_t Row) const { return Row; }
   size_t stepLen(uint64_t AbsPos, size_t Remaining) const {
     return (AbsPos % 2 == 0 && Remaining >= 2) ? 2 : 1;
   }
 
   template <class EmitT>
   void probeAccept(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &Accept = D.Accept[State];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
-      Accept.forEach(
+    if (D.AcceptAny[State])
+      D.Accept[State].forEach(
           [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
   }
 
@@ -538,28 +558,25 @@ struct StridedPolicy {
 
   template <class EmitT>
   void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
-      AtEnd.forEach(
-          [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
+    D.AcceptAtEnd[State].forEach(
+        [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
   }
 };
 
-/// Sequential scan of one chunk from a known state; AcceptAtEnd fires only
+/// Sequential scan of one chunk from a known row; AcceptAtEnd fires only
 /// when the chunk consumes the stream's final byte.
 template <class Policy, class EmitT>
-uint32_t scanChunkFrom(const Policy &P, uint32_t State,
-                       std::string_view Chunk, uint64_t Base,
-                       uint64_t StreamEnd, EmitT &&Emit) {
+uint32_t scanChunkFrom(const Policy &P, uint32_t Row, std::string_view Chunk,
+                       uint64_t Base, uint64_t StreamEnd, EmitT &&Emit) {
   size_t Pos = 0;
   while (Pos < Chunk.size()) {
     const size_t Len = P.stepLen(Base + Pos, Chunk.size() - Pos);
-    State = P.step(State, Chunk, Pos, Base, Emit);
+    Row = P.step(Row, Chunk, Pos, Base, Emit);
     Pos += Len;
   }
   if (!Chunk.empty() && Base + Chunk.size() == StreamEnd)
-    P.emitAtEnd(State, StreamEnd, Emit);
-  return State;
+    P.emitAtEnd(Row, StreamEnd, Emit);
+  return Row;
 }
 
 constexpr uint32_t NoClass = std::numeric_limits<uint32_t>::max();
@@ -573,7 +590,7 @@ struct ChunkStateMap {
     std::vector<Match> Log; ///< Time-ordered (global rule, end) accepts.
     uint32_t MergedInto = NoClass;
     size_t MergedAtParentSize = 0;
-    uint32_t Exit = 0; ///< Valid for never-merged (terminal) classes.
+    uint32_t Exit = 0; ///< Row; valid for never-merged (terminal) classes.
   };
   bool Ok = false; ///< False: collapse stalled; join re-scans sequentially.
   std::vector<Cls> Classes; ///< Index == start state.
@@ -587,7 +604,8 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
   const uint32_t N = P.numStates();
   M.Classes.assign(N, {});
   std::vector<uint32_t> Cur(N), Alive(N), NewAlive;
-  std::iota(Cur.begin(), Cur.end(), 0u);
+  for (uint32_t C = 0; C < N; ++C)
+    Cur[C] = P.rowOf(C);
   std::iota(Alive.begin(), Alive.end(), 0u);
   NewAlive.reserve(N);
   // Epoch-marked ownership: Owner[S] is the class that reached S this
@@ -626,7 +644,7 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
     // size already includes them — the chain walk emits each exactly once.
     NewAlive.clear();
     for (uint32_t C : Alive) {
-      const uint32_t S = Cur[C];
+      const uint32_t S = P.stateOf(Cur[C]);
       if (OwnerEpoch[S] != Epoch) {
         OwnerEpoch[S] = Epoch;
         Owner[S] = C;
@@ -659,117 +677,182 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
   M.Ok = true;
 }
 
-} // namespace
+/// One automaton's phase-1 results in a batched DFA-family scan.
+struct DfaGroupWork {
+  std::vector<Match> LeadMatches; ///< Chunk 0, scanned from the start.
+  uint32_t LeadExit = 0;          ///< Row after chunk 0.
+  std::vector<ChunkStateMap> Maps; ///< Index = chunk; slot 0 unused.
+  std::vector<double> ChunkSeconds;
+  /// Phase-1 tasks not yet finished; the join waits for zero.
+  std::atomic<uint32_t> Pending{0};
+};
 
-void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
-                           InputParallelStats *Stats) const {
-  const std::vector<uint64_t> Bounds = chunkBoundaries(Input.size());
-  if (Stats) {
-    Stats->Threads = static_cast<unsigned>(Bounds.size() - 1);
-    Stats->Chunks = Bounds.size() - 1;
-    Stats->ChunkPhase1Seconds.assign(Bounds.size() - 1, 0.0);
+/// Phase 1 of chunk \p I: chunk 0 scans normally from the start state;
+/// chunks 1..T-1 build per-start state maps. Results are buffered — the
+/// user recorder is only touched by the sequential join.
+template <class Policy>
+void scanPhase1(const Policy &P, std::string_view Input,
+                const std::vector<uint64_t> &Bounds, size_t I,
+                const InputParallelOptions &Opts, DfaGroupWork &W) {
+  Timer Clock;
+  const uint64_t Base = Bounds[I];
+  const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
+  if (I == 0) {
+    W.LeadExit = scanChunkFrom(P, P.rowOf(0), Chunk, Base, Input.size(),
+                               [&](uint32_t Rule, uint64_t End) {
+                                 W.LeadMatches.emplace_back(Rule, End);
+                               });
+  } else {
+    const size_t Guard = Opts.MaxSpecWindowBytes
+                             ? std::min(Chunk.size(), Opts.MaxSpecWindowBytes)
+                             : Chunk.size();
+    buildChunkStateMap(P, Chunk, Base, Input.size(), Opts.MaxMapClasses,
+                       std::min<size_t>(Guard, 4096), W.Maps[I]);
   }
-  switch (Kind) {
-  case Backend::Imfant:
-    runImfant(Input, Bounds, Recorder, Stats);
-    break;
-  case Backend::Dfa:
-    runDfaFamily(DfaPolicy{*Automaton, simd::ops()}, Input, Bounds, Recorder,
-                 Stats);
-    break;
-  case Backend::Stride2:
-    runDfaFamily(StridedPolicy{*Strided, simd::ops()}, Input, Bounds,
-                 Recorder, Stats);
-    break;
-  }
+  W.ChunkSeconds[I] = Clock.elapsedMs() / 1e3;
 }
 
+/// Phase 2 for one automaton: threads the single live DFA state through the
+/// chunk maps, emitting each chunk's log chain — exactly the sequential
+/// match sequence — then frees the maps.
 template <class Policy>
-void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
-                                    const std::vector<uint64_t> &Bounds,
-                                    MatchRecorder &Recorder,
-                                    InputParallelStats *Stats) const {
-  const size_t NumChunks = Bounds.size() - 1;
-  const uint64_t StreamEnd = Input.size();
-
-  // Phase 1: chunk 0 scans normally from the start state; chunks 1..T-1
-  // build per-start state maps (all results buffered — the user recorder
-  // is only touched by the sequential join).
-  std::vector<Match> LeadMatches;
-  uint32_t LeadExit = 0;
-  std::vector<ChunkStateMap> Maps(NumChunks);
-  forEachChunk(Opts.UseThreadPool, Opts.Threads, NumChunks, [&](size_t I) {
-    Timer Clock;
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
-    if (I == 0) {
-      LeadExit = scanChunkFrom(P, 0, Chunk, Base, StreamEnd,
-                               [&](uint32_t Rule, uint64_t End) {
-                                 LeadMatches.emplace_back(Rule, End);
-                               });
-    } else {
-      const size_t Guard =
-          Opts.MaxSpecWindowBytes
-              ? std::min(Chunk.size(), Opts.MaxSpecWindowBytes)
-              : Chunk.size();
-      buildChunkStateMap(P, Chunk, Base, StreamEnd, Opts.MaxMapClasses,
-                         std::min<size_t>(Guard, 4096), Maps[I]);
-    }
-    if (Stats)
-      Stats->ChunkPhase1Seconds[I] = Clock.elapsedMs() / 1e3;
-  });
-
-  // Phase 2: thread the single live DFA state through the maps, emitting
-  // each chunk's log chain — exactly the sequential match sequence.
+void joinGroup(const Policy &P, std::string_view Input,
+               const std::vector<uint64_t> &Bounds, DfaGroupWork &W,
+               MatchRecorder &Recorder, InputParallelStats *Stats) {
   Timer JoinClock;
-  for (const Match &M : LeadMatches)
+  const size_t NumChunks = Bounds.size() - 1;
+  InputParallelStats Group;
+  for (const Match &M : W.LeadMatches)
     Recorder.onMatch(M.first, M.second);
-  if (Stats)
-    Stats->IsoMatches += LeadMatches.size();
-  uint32_t State = LeadExit;
+  Group.IsoMatches = W.LeadMatches.size();
+  uint32_t Row = W.LeadExit;
   for (size_t I = 1; I < NumChunks; ++I) {
-    const ChunkStateMap &Map = Maps[I];
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
+    const ChunkStateMap &Map = W.Maps[I];
+    Group.MaxAliveClasses = std::max(Group.MaxAliveClasses, Map.MaxAlive);
     if (Map.Ok) {
-      uint32_t C = State;
+      uint32_t C = P.stateOf(Row);
       size_t From = 0;
-      uint64_t Emitted = 0;
       while (true) {
         const ChunkStateMap::Cls &Cls = Map.Classes[C];
         for (size_t L = From; L < Cls.Log.size(); ++L)
           Recorder.onMatch(Cls.Log[L].first, Cls.Log[L].second);
-        Emitted += Cls.Log.size() - From;
+        Group.CarryMatches += Cls.Log.size() - From;
         if (Cls.MergedInto == NoClass) {
-          State = Cls.Exit;
+          Row = Cls.Exit;
           break;
         }
         From = Cls.MergedAtParentSize;
         C = Cls.MergedInto;
       }
-      if (Stats) {
-        Stats->CarryMatches += Emitted;
-        Stats->MaxAliveClasses =
-            std::max(Stats->MaxAliveClasses, Map.MaxAlive);
-        ++Stats->SpecTableChunks;
-      }
+      ++Group.SpecTableChunks;
     } else {
       // Collapse stalled: correct-but-serial re-scan of this chunk.
-      uint64_t Emitted = 0;
-      State = scanChunkFrom(P, State, Chunk, Base, StreamEnd,
-                            [&](uint32_t Rule, uint64_t End) {
-                              ++Emitted;
-                              Recorder.onMatch(Rule, End);
-                            });
-      if (Stats) {
-        Stats->CarryMatches += Emitted;
-        ++Stats->RescanFallbackChunks;
-        Stats->OverlapBytes += Chunk.size();
-        Stats->MaxAliveClasses =
-            std::max(Stats->MaxAliveClasses, Map.MaxAlive);
-      }
+      const uint64_t Base = Bounds[I];
+      const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
+      Row = scanChunkFrom(P, Row, Chunk, Base, Input.size(),
+                          [&](uint32_t Rule, uint64_t End) {
+                            ++Group.CarryMatches;
+                            Recorder.onMatch(Rule, End);
+                          });
+      ++Group.RescanFallbackChunks;
+      Group.OverlapBytes += Chunk.size();
     }
   }
-  if (Stats)
-    Stats->JoinSeconds = JoinClock.elapsedMs() / 1e3;
+  W.LeadMatches = {};
+  W.Maps = {};
+  if (!Stats)
+    return;
+  Group.Threads = static_cast<unsigned>(NumChunks);
+  Group.Chunks = NumChunks;
+  Group.ChunkPhase1Seconds = std::move(W.ChunkSeconds);
+  Group.JoinSeconds = JoinClock.elapsedMs() / 1e3;
+  Stats->merge(Group);
+}
+
+/// The batched DFA-family scan behind runInputParallelPool.
+template <class Policy>
+void runDfaPool(const std::vector<Policy> &Policies, std::string_view Input,
+                MatchRecorder &Recorder, const InputParallelOptions &Opts,
+                InputParallelStats *Stats) {
+  const std::vector<uint64_t> Bounds = chunkBoundaries(Input.size(), Opts);
+  const size_t NumChunks = Bounds.size() - 1;
+  std::vector<DfaGroupWork> Work(Policies.size());
+  for (DfaGroupWork &W : Work) {
+    W.Maps.resize(NumChunks);
+    W.ChunkSeconds.assign(NumChunks, 0.0);
+    W.Pending.store(static_cast<uint32_t>(NumChunks),
+                    std::memory_order_relaxed);
+  }
+
+  const size_t Tasks = Policies.size() * NumChunks;
+  if (!Opts.UseThreadPool || Opts.Threads <= 1 || Tasks <= 1) {
+    // Serial: every chunk timed in isolation, each group joined at once.
+    for (size_t G = 0; G < Policies.size(); ++G) {
+      for (size_t I = 0; I < NumChunks; ++I)
+        scanPhase1(Policies[G], Input, Bounds, I, Opts, Work[G]);
+      joinGroup(Policies[G], Input, Bounds, Work[G], Recorder, Stats);
+    }
+    return;
+  }
+
+  // One pool for the whole batch, fed group-major so groups finish roughly
+  // in order; the calling thread joins each group, in group order, as soon
+  // as its last chunk lands, and frees its maps.
+  ThreadPool Pool(static_cast<unsigned>(
+      std::min<size_t>(Opts.Threads, Tasks)));
+  for (size_t G = 0; G < Policies.size(); ++G)
+    for (size_t I = 0; I < NumChunks; ++I)
+      Pool.submit([&, G, I] {
+        DfaGroupWork &W = Work[G];
+        scanPhase1(Policies[G], Input, Bounds, I, Opts, W);
+        if (W.Pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          W.Pending.notify_one();
+      });
+  for (size_t G = 0; G < Policies.size(); ++G) {
+    DfaGroupWork &W = Work[G];
+    for (uint32_t Left = W.Pending.load(std::memory_order_acquire); Left != 0;
+         Left = W.Pending.load(std::memory_order_acquire))
+      W.Pending.wait(Left, std::memory_order_acquire);
+    joinGroup(Policies[G], Input, Bounds, W, Recorder, Stats);
+  }
+}
+
+} // namespace
+
+void mfsa::runInputParallelPool(const std::vector<const Dfa *> &Automata,
+                                std::string_view Input,
+                                MatchRecorder &Recorder,
+                                const InputParallelOptions &Options,
+                                InputParallelStats *Stats) {
+  std::vector<DfaPolicy> Policies;
+  Policies.reserve(Automata.size());
+  for (const Dfa *D : Automata)
+    Policies.push_back(DfaPolicy{*D});
+  runDfaPool(Policies, Input, Recorder, Options, Stats);
+}
+
+void mfsa::runInputParallelPool(
+    const std::vector<const StridedDfa *> &Automata, std::string_view Input,
+    MatchRecorder &Recorder, const InputParallelOptions &Options,
+    InputParallelStats *Stats) {
+  std::vector<StridedPolicy> Policies;
+  Policies.reserve(Automata.size());
+  for (const StridedDfa *D : Automata)
+    Policies.push_back(StridedPolicy{*D});
+  runDfaPool(Policies, Input, Recorder, Options, Stats);
+}
+
+void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
+                           InputParallelStats *Stats) const {
+  switch (Kind) {
+  case Backend::Imfant:
+    runImfant(Input, Recorder, Stats);
+    break;
+  case Backend::Dfa:
+    runInputParallelPool({Automaton}, Input, Recorder, Opts, Stats);
+    break;
+  case Backend::Stride2:
+    runInputParallelPool({Strided}, Input, Recorder, Opts, Stats);
+    break;
+  }
 }

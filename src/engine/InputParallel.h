@@ -44,7 +44,11 @@
 ///    (PaREM's per-start transition function, made cheap by collapse). The
 ///    join threads the real boundary state through the maps: walk the
 ///    class's merge chain emitting log segments — exactly the sequential
-///    matches — and chain the exit state into the next chunk.
+///    matches — and chain the exit state into the next chunk. A pool of
+///    DFA-family automata over one stream (the per-rule DFA pool at M = 1,
+///    or a planned engine's groups) runs as ONE batch through
+///    runInputParallelPool: every (automaton, chunk) task on one ThreadPool,
+///    automata joined in order as soon as each one's chunks finish.
 ///
 /// Offsets are absolute from construction (`Scanner::startAt`), rule ids
 /// are the dataset global ids, per-chunk (rule, end) dedup mirrors the
@@ -137,11 +141,36 @@ struct InputParallelStats {
 
   /// Critical-path wall model: slowest chunk plus the sequential join.
   double modeledWallSeconds() const;
+
+  /// Accumulates one automaton's (group's) stats of a multi-group scan:
+  /// counters add, peaks take the max, per-chunk phase-1 seconds add
+  /// element-wise (chunk i of every group on notional thread i, so
+  /// modeledWallSeconds() stays the critical path) and join seconds add.
+  void merge(const InputParallelStats &Group);
 };
 
 /// Publishes \p Stats as `parallel.input.*` counters/gauges.
 void recordInputParallelStats(const InputParallelStats &Stats,
                               obs::MetricsRegistry &Registry);
+
+/// Input-parallel scan of a pool of DFA-family automata over one stream,
+/// as one batch. Under Options.UseThreadPool every (automaton, chunk)
+/// phase-1 task goes to a single ThreadPool of Options.Threads workers;
+/// otherwise the tasks run serially, each chunk timed in isolation for the
+/// modeled wall. The calling thread joins the automata in order, each as
+/// soon as its own chunks finish, and frees its state maps then. \p Recorder
+/// sees exactly the match sequence of running each automaton's sequential
+/// engine in order. \p Stats, when non-null, accumulates every automaton's
+/// stats through InputParallelStats::merge. The automata must outlive the
+/// call.
+void runInputParallelPool(const std::vector<const Dfa *> &Automata,
+                          std::string_view Input, MatchRecorder &Recorder,
+                          const InputParallelOptions &Options,
+                          InputParallelStats *Stats = nullptr);
+void runInputParallelPool(const std::vector<const StridedDfa *> &Automata,
+                          std::string_view Input, MatchRecorder &Recorder,
+                          const InputParallelOptions &Options,
+                          InputParallelStats *Stats = nullptr);
 
 /// One input-parallel executor bound to a sequential engine. Construction
 /// precomputes the speculative frontier (iMFAnt) or validates the automaton
@@ -169,16 +198,8 @@ public:
 private:
   enum class Backend : uint8_t { Imfant, Dfa, Stride2 };
 
-  /// Cut positions (chunk boundaries including 0 and len) for \p Len bytes.
-  std::vector<uint64_t> chunkBoundaries(size_t Len) const;
-
-  void runImfant(std::string_view Input,
-                 const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
+  void runImfant(std::string_view Input, MatchRecorder &Recorder,
                  InputParallelStats *Stats) const;
-  template <class Policy>
-  void runDfaFamily(const Policy &P, std::string_view Input,
-                    const std::vector<uint64_t> &Bounds,
-                    MatchRecorder &Recorder, InputParallelStats *Stats) const;
 
   Backend Kind;
   InputParallelOptions Opts;
@@ -193,7 +214,7 @@ private:
   /// tables (recorded in global ids) against local activation bitsets.
   std::unordered_map<uint32_t, uint32_t> GlobalToLocal;
 
-  // DFA-family backend.
+  // DFA-family backend: the one-automaton case of runInputParallelPool.
   const Dfa *Automaton = nullptr;
   const StridedDfa *Strided = nullptr;
 };

@@ -30,39 +30,36 @@ Result<StridedDfa> mfsa::makeStride2(const Dfa &Automaton,
   Out.GlobalIds = Automaton.GlobalIds;
 
   const uint32_t A = Automaton.NumAtoms;
-  Out.Mid = Automaton.Next; // identical layout: state x atom
+  Out.AcceptAny.resize(Out.NumStates);
+  for (uint32_t S = 0; S < Out.NumStates; ++S)
+    Out.AcceptAny[S] = Automaton.Accept[S].any();
+  Out.Mid.resize(static_cast<size_t>(Out.NumStates) * A);
   Out.MidAcceptAny.resize(Out.Mid.size());
   Out.Next2.resize(Entries);
   for (uint32_t S = 0; S < Automaton.NumStates; ++S)
     for (uint32_t A1 = 0; A1 < A; ++A1) {
-      uint32_t MidState = Automaton.Next[static_cast<size_t>(S) * A + A1];
+      const uint32_t MidState = Automaton.next(S, A1);
+      Out.Mid[static_cast<size_t>(S) * A + A1] = MidState;
       Out.MidAcceptAny[static_cast<size_t>(S) * A + A1] =
-          Automaton.Accept[MidState].any() ||
-          Automaton.AcceptAtEnd[MidState].any();
-      const uint32_t *MidRow = &Automaton.Next[static_cast<size_t>(MidState) * A];
+          Out.AcceptAny[MidState] || Automaton.AcceptAtEnd[MidState].any();
       uint32_t *OutRow =
           &Out.Next2[(static_cast<size_t>(S) * A + A1) * A];
       for (uint32_t A2 = 0; A2 < A; ++A2)
-        OutRow[A2] = MidRow[A2];
+        OutRow[A2] = Automaton.next(MidState, A2);
     }
   return Out;
 }
 
-void StridedDfaEngine::reportAt(const simd::KernelTable &K, uint32_t State,
-                                size_t EndOffset, bool AtEnd,
+void StridedDfaEngine::reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
                                 MatchRecorder &Recorder) const {
-  const DynamicBitset &Accept = Automaton.Accept[State];
-  if (K.AnyWords(Accept.words().data(), Accept.words().size()))
-    Accept.forEach([&](unsigned Rule) {
+  if (Automaton.AcceptAny[State])
+    Automaton.Accept[State].forEach([&](unsigned Rule) {
       Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
     });
-  if (AtEnd) {
-    const DynamicBitset &AtEndSet = Automaton.AcceptAtEnd[State];
-    if (K.AnyWords(AtEndSet.words().data(), AtEndSet.words().size()))
-      AtEndSet.forEach([&](unsigned Rule) {
-        Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
-      });
-  }
+  if (AtEnd)
+    Automaton.AcceptAtEnd[State].forEach([&](unsigned Rule) {
+      Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
+    });
 }
 
 void StridedDfaEngine::setMetrics(obs::MetricsRegistry *Registry) {
@@ -89,7 +86,6 @@ void StridedDfaEngine::run(std::string_view Input,
                            MatchRecorder &Recorder) const {
   const uint32_t A = Automaton.NumAtoms;
   const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-  const simd::KernelTable &K = simd::ops();
 
 #if MFSA_METRICS_ENABLED
   const bool Observed = Metrics.Bytes != nullptr;
@@ -112,10 +108,10 @@ void StridedDfaEngine::run(std::string_view Input,
       ++MidProbes;
 #endif
       uint32_t MidState = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-      reportAt(K, MidState, Pos + 1, false, Recorder);
+      reportAt(MidState, Pos + 1, false, Recorder);
     }
     State = Automaton.Next2[(static_cast<size_t>(State) * A + A1) * A + A2];
-    reportAt(K, State, Pos + 2, Pos + 2 == Input.size(), Recorder);
+    reportAt(State, Pos + 2, Pos + 2 == Input.size(), Recorder);
 #if MFSA_METRICS_ENABLED
     if (Observed && ++MetricsTick >= SampleEvery) {
       MetricsTick = 0;
@@ -130,7 +126,7 @@ void StridedDfaEngine::run(std::string_view Input,
   if (Pos < Input.size()) { // odd trailing byte
     uint32_t A1 = AtomOf[static_cast<unsigned char>(Input[Pos])];
     State = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-    reportAt(K, State, Pos + 1, /*AtEnd=*/true, Recorder);
+    reportAt(State, Pos + 1, /*AtEnd=*/true, Recorder);
   }
 
 #if MFSA_METRICS_ENABLED

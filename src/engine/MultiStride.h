@@ -26,7 +26,6 @@
 #include "engine/Imfant.h"
 #include "fsa/Determinize.h"
 #include "support/Result.h"
-#include "support/SimdDispatch.h"
 
 #include <cstdint>
 #include <string_view>
@@ -55,10 +54,14 @@ struct StridedDfa {
 
   std::vector<DynamicBitset> Accept;
   std::vector<DynamicBitset> AcceptAtEnd;
+  /// AcceptAny[State] — nonzero when Accept[State] is nonempty, so the
+  /// per-stride accept probe is one byte load.
+  std::vector<uint8_t> AcceptAny;
   std::vector<uint32_t> GlobalIds;
 
   size_t footprintBytes() const {
     return Next2.size() * 4 + Mid.size() * 4 + AtomOfByte.size() +
+           AcceptAny.size() +
            GlobalIds.size() * 4 +
            (Accept.empty()
                 ? 0
@@ -103,10 +106,8 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  /// \p K is the per-scan resolved SIMD kernel table (the accept probes
-  /// run once per stride, so the caller hoists the dispatch load).
-  void reportAt(const simd::KernelTable &K, uint32_t State, size_t EndOffset,
-                bool AtEnd, MatchRecorder &Recorder) const;
+  void reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
+                MatchRecorder &Recorder) const;
 
   const StridedDfa &Automaton;
   ScanMetricHandles Metrics;

@@ -90,55 +90,28 @@ Result<PlannedEngineSet> PlannedEngineSet::createFromRuleset(
   return create(Plan.Choice, Groups, Patterns);
 }
 
-namespace {
-
-/// Accumulates one group's input-parallel stats into the caller's. Chunk i
-/// of every group runs on (notional) thread i, so per-chunk seconds add
-/// element-wise and modeledWallSeconds() stays the critical-path model for
-/// the whole group-sequential scan.
-void accumulateStats(InputParallelStats &Into,
-                     const InputParallelStats &Group) {
-  Into.Threads = std::max(Into.Threads, Group.Threads);
-  Into.Chunks += Group.Chunks;
-  Into.SpecDeadChunks += Group.SpecDeadChunks;
-  Into.SpecTableChunks += Group.SpecTableChunks;
-  Into.RescanFallbackChunks += Group.RescanFallbackChunks;
-  Into.OverlapBytes += Group.OverlapBytes;
-  Into.SpecStartRuns += Group.SpecStartRuns;
-  Into.MaxSpecFrontier = std::max(Into.MaxSpecFrontier, Group.MaxSpecFrontier);
-  Into.MaxAliveClasses =
-      std::max(Into.MaxAliveClasses, Group.MaxAliveClasses);
-  Into.IsoMatches += Group.IsoMatches;
-  Into.CarryMatches += Group.CarryMatches;
-  if (Into.ChunkPhase1Seconds.size() < Group.ChunkPhase1Seconds.size())
-    Into.ChunkPhase1Seconds.resize(Group.ChunkPhase1Seconds.size(), 0.0);
-  for (size_t I = 0; I < Group.ChunkPhase1Seconds.size(); ++I)
-    Into.ChunkPhase1Seconds[I] += Group.ChunkPhase1Seconds[I];
-  Into.JoinSeconds += Group.JoinSeconds;
-}
-
-} // namespace
-
 void PlannedEngineSet::runInputParallel(std::string_view Input,
                                         MatchRecorder &Recorder,
                                         const InputParallelOptions &Options,
                                         InputParallelStats *Stats) const {
-  auto RunOne = [&](const InputParallelRun &Par) {
-    if (!Stats) {
-      Par.run(Input, Recorder);
-      return;
-    }
+  for (const ImfantEngine &E : Dense) {
     InputParallelStats Group;
-    Par.run(Input, Recorder, &Group);
-    accumulateStats(*Stats, Group);
-  };
-  for (const ImfantEngine &E : Dense)
-    RunOne(InputParallelRun(E, Options));
-  for (const std::unique_ptr<Dfa> &D : Dfas)
-    if (Choice == Engine::Dfa)
-      RunOne(InputParallelRun(*D, Options));
-  for (const std::unique_ptr<StridedDfa> &S : Strided)
-    RunOne(InputParallelRun(*S, Options));
+    InputParallelRun(E, Options).run(Input, Recorder, Stats ? &Group : nullptr);
+    if (Stats)
+      Stats->merge(Group);
+  }
+  if (Choice == Engine::Dfa) {
+    std::vector<const Dfa *> Automata;
+    for (const std::unique_ptr<Dfa> &D : Dfas)
+      Automata.push_back(D.get());
+    runInputParallelPool(Automata, Input, Recorder, Options, Stats);
+  }
+  if (!Strided.empty()) {
+    std::vector<const StridedDfa *> Automata;
+    for (const std::unique_ptr<StridedDfa> &S : Strided)
+      Automata.push_back(S.get());
+    runInputParallelPool(Automata, Input, Recorder, Options, Stats);
+  }
   // No input-parallel executor for these: sequential scan, same output.
   for (const SparseImfantEngine &E : Sparse)
     E.run(Input, Recorder);

@@ -64,11 +64,11 @@ public:
 
   /// Input-parallel scan (engine/InputParallel.h): each group's input is
   /// split into \p Options.Threads chunks with frontier-set boundary
-  /// stitching — byte-identical to run(). Engines without an input-parallel
-  /// executor (sparse iMFAnt, prefilter) fall back to the sequential run().
-  /// \p Stats, when non-null, accumulates chunk/speculation counters across
-  /// groups (per-chunk timings are the LAST group's, the one the modeled
-  /// wall should use when groups are timed individually).
+  /// stitching — byte-identical to run(). The DFA family runs all its
+  /// groups as one batch (runInputParallelPool); dense iMFAnt runs group by
+  /// group. Engines without an input-parallel executor (sparse iMFAnt,
+  /// prefilter) fall back to the sequential run(). \p Stats, when non-null,
+  /// accumulates every group's stats (InputParallelStats::merge).
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;

@@ -24,6 +24,14 @@ size_t Dfa::footprintBytes() const {
   return Bytes;
 }
 
+Result<bool> mfsa::checkDfaEncodable(uint64_t NumStates, uint32_t NumAtoms) {
+  if (NumStates == 0 || (NumStates - 1) * NumAtoms <= Dfa::RowMask)
+    return true;
+  return Result<bool>::error(
+      "DFA table not encodable: " + std::to_string(NumStates) + " states x " +
+      std::to_string(NumAtoms) + " atoms exceed the 31-bit row offset");
+}
+
 namespace {
 
 /// A subset of union-NFA states, kept sorted for canonical identity. States
@@ -174,6 +182,10 @@ Result<Dfa> mfsa::determinize(const std::vector<Nfa> &Fsas,
   Out.NumStates = static_cast<uint32_t>(Subsets.size());
   Out.Next.resize(static_cast<size_t>(Out.NumStates) * NumAtoms, 0);
 
+  Result<bool> Encodable = checkDfaEncodable(Out.NumStates, NumAtoms);
+  if (!Encodable)
+    return Encodable.takeDiag();
+
   // Accept sets.
   Out.Accept.assign(Out.NumStates, DynamicBitset(NumRules));
   Out.AcceptAtEnd.assign(Out.NumStates, DynamicBitset(NumRules));
@@ -188,5 +200,13 @@ Result<Dfa> mfsa::determinize(const std::vector<Nfa> &Fsas,
         Out.Accept[Id].set(Rule);
     }
   }
+
+  // Encode the table: successor ids become pre-multiplied row offsets,
+  // tagged when the successor accepts anywhere.
+  std::vector<bool> AcceptsAnywhere(Out.NumStates);
+  for (uint32_t Id = 0; Id < Out.NumStates; ++Id)
+    AcceptsAnywhere[Id] = Out.Accept[Id].any();
+  for (uint32_t &Entry : Out.Next)
+    Entry = (AcceptsAnywhere[Entry] ? Dfa::AcceptTag : 0) | Entry * NumAtoms;
   return Out;
 }

@@ -22,8 +22,9 @@
 ///     scan hot paths.
 ///   - The per-byte scan instrumentation is additionally compiled out
 ///     entirely (MFSA_METRICS_ENABLED == 0) in NDEBUG builds unless the
-///     build was configured with -DMFSA_METRICS=1, so a Release engine
-///     pays literally nothing when observability is off.
+///     build was configured with -DMFSA_METRICS=1, so an NDEBUG engine
+///     pays literally nothing when observability is off (the repository's
+///     Release flags carry no -DNDEBUG, so its Release keeps them).
 ///
 /// Naming convention: lowercase dotted paths (`imfant.frontier_size`).
 /// Metrics holding wall time end in `_ms` or `_ns`; the golden-JSON tests

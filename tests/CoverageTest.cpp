@@ -226,8 +226,9 @@ TEST(DeterminizeDetail, TableIsTotal) {
   ASSERT_TRUE(D.ok());
   ASSERT_EQ(D->Next.size(),
             static_cast<size_t>(D->NumStates) * D->NumAtoms);
-  for (uint32_t Target : D->Next)
-    EXPECT_LT(Target, D->NumStates);
+  for (uint32_t S = 0; S < D->NumStates; ++S)
+    for (uint32_t A = 0; A < D->NumAtoms; ++A)
+      EXPECT_LT(D->next(S, A), D->NumStates);
 }
 
 TEST(DeterminizeDetail, FootprintReflectsStateCount) {

@@ -4,9 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/DfaEngine.h"
 #include "engine/Imfant.h"
+#include "engine/InputParallel.h"
+#include "engine/MultiStride.h"
 #include "engine/Parallel.h"
 
+#include "fsa/Determinize.h"
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
 #include "mfsa/Merge.h"
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <queue>
 
 using namespace mfsa;
 using namespace mfsa::test;
@@ -545,4 +550,167 @@ TEST(Trace, FormatShowsActivationSets) {
 TEST(Trace, EmptyInputEmptyTrace) {
   Mfsa Z = mergePatterns({"ab"});
   EXPECT_TRUE(traceActivation(Z, "").empty());
+}
+
+//===----------------------------------------------------------------------===//
+// DFA step encoding (fsa/Determinize.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using MatchSeq = std::vector<std::pair<uint32_t, uint64_t>>;
+
+Dfa determinizePatterns(const std::vector<std::string> &Patterns) {
+  std::vector<Nfa> Fsas;
+  std::vector<uint32_t> Ids;
+  for (size_t I = 0; I < Patterns.size(); ++I) {
+    Fsas.push_back(compileOptimized(Patterns[I]));
+    Ids.push_back(static_cast<uint32_t>(I));
+  }
+  Result<Dfa> D = determinize(Fsas, Ids);
+  EXPECT_TRUE(D.ok()) << formatPatterns(Patterns);
+  return D.ok() ? D.take() : Dfa{};
+}
+
+/// The sequential DfaEngine's match sequence on \p Input.
+MatchSeq dfaMatches(const Dfa &D, std::string_view Input) {
+  MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+  DfaEngine(D).run(Input, Recorder);
+  return Recorder.matches();
+}
+
+std::set<uint32_t> globalRules(const Dfa &D, const DynamicBitset &Rules) {
+  std::set<uint32_t> Out;
+  Rules.forEach([&](unsigned R) { Out.insert(D.GlobalIds[R]); });
+  return Out;
+}
+
+/// Checks every (state, atom) entry of \p D's encoded table: it decodes to
+/// an in-range successor whose row it holds, the tag bit is set iff the
+/// successor's Accept set is nonempty, and the successor's accept sets are
+/// the subset construction's — the rules the oracle says end a match after
+/// the state's shortest access word extended by one byte of the atom.
+void checkEncodedTable(const std::vector<std::string> &Patterns) {
+  const Dfa D = determinizePatterns(Patterns);
+  ASSERT_GT(D.NumStates, 0u);
+  ASSERT_EQ(D.Next.size(), static_cast<size_t>(D.NumStates) * D.NumAtoms);
+  std::vector<unsigned char> ByteOfAtom(D.NumAtoms);
+  for (unsigned C = 256; C-- > 0;)
+    ByteOfAtom[D.AtomOfByte[C]] = static_cast<unsigned char>(C);
+
+  // Shortest access word of every state, by BFS over the decoded table.
+  std::vector<std::optional<std::string>> Access(D.NumStates);
+  Access[D.start()] = "";
+  std::queue<uint32_t> Work;
+  Work.push(D.start());
+  while (!Work.empty()) {
+    const uint32_t S = Work.front();
+    Work.pop();
+    for (uint32_t A = 0; A < D.NumAtoms; ++A) {
+      const uint32_t T = D.next(S, A);
+      ASSERT_LT(T, D.NumStates);
+      if (!Access[T]) {
+        Access[T] = *Access[S] + static_cast<char>(ByteOfAtom[A]);
+        Work.push(T);
+      }
+    }
+  }
+
+  for (uint32_t S = 0; S < D.NumStates; ++S) {
+    ASSERT_TRUE(Access[S]) << "state " << S << " unreachable";
+    for (uint32_t A = 0; A < D.NumAtoms; ++A) {
+      const uint32_t Enc = D.Next[static_cast<size_t>(S) * D.NumAtoms + A];
+      const uint32_t T = D.next(S, A);
+      const std::string Tag = formatPatterns(Patterns) + " state " +
+                              std::to_string(S) + " atom " +
+                              std::to_string(A);
+      EXPECT_EQ(Enc & Dfa::RowMask, T * D.NumAtoms) << Tag;
+      EXPECT_EQ((Enc & Dfa::AcceptTag) != 0, D.Accept[T].any()) << Tag;
+
+      const std::string Word = *Access[S] + static_cast<char>(ByteOfAtom[A]);
+      std::set<uint32_t> Expected;
+      for (const auto &[Rule, Ends] : oracleRuleEnds(Patterns, Word))
+        if (Ends.count(Word.size()))
+          Expected.insert(Rule);
+      std::set<uint32_t> Got = globalRules(D, D.Accept[T]);
+      for (uint32_t R : globalRules(D, D.AcceptAtEnd[T]))
+        Got.insert(R);
+      EXPECT_EQ(Got, Expected) << Tag << " word \"" << Word << "\"";
+    }
+  }
+}
+
+} // namespace
+
+TEST(DfaEncoding, DecodedSuccessorsMatchSubsetConstruction) {
+  checkEncodedTable({"ab", "ab$", "a", "b(c|d)*e"});
+  checkEncodedTable({"^ab", "a[bc]*d$", "c{2,3}"});
+  Rng Random(7101);
+  for (int Trial = 0; Trial < 6; ++Trial) {
+    std::vector<std::string> Patterns;
+    const unsigned Count = 1 + Random.nextBelow(4);
+    for (unsigned I = 0; I < Count; ++I)
+      Patterns.push_back(randomPattern(Random, 3));
+    checkEncodedTable(Patterns);
+  }
+}
+
+TEST(DfaEncoding, MatchOnFirstByte) {
+  const Dfa D = determinizePatterns({"a", "xa"});
+  const uint32_t Enc = D.Next[D.start() * D.NumAtoms + D.AtomOfByte['a']];
+  EXPECT_NE(Enc & Dfa::AcceptTag, 0u);
+  EXPECT_EQ(dfaMatches(D, "a"), (MatchSeq{{0, 1}}));
+  EXPECT_EQ(dfaMatches(D, "aba"), (MatchSeq{{0, 1}, {0, 3}}));
+}
+
+TEST(DfaEncoding, FinalStateWithAcceptAndAcceptAtEnd) {
+  const Dfa D = determinizePatterns({"ab", "ab$"});
+  const uint32_t S = D.next(D.next(D.start(), D.AtomOfByte['a']),
+                            D.AtomOfByte['b']);
+  EXPECT_TRUE(D.Accept[S].any());
+  EXPECT_TRUE(D.AcceptAtEnd[S].any());
+  // Accept fires after every byte; AcceptAtEnd only after the last one,
+  // and after the Accept matches ending there.
+  EXPECT_EQ(dfaMatches(D, "ab"), (MatchSeq{{0, 2}, {1, 2}}));
+  EXPECT_EQ(dfaMatches(D, "abab"), (MatchSeq{{0, 2}, {0, 4}, {1, 4}}));
+  EXPECT_EQ(dfaMatches(D, "abx"), (MatchSeq{{0, 2}}));
+
+  Result<StridedDfa> S2 = makeStride2(D);
+  ASSERT_TRUE(S2.ok());
+  for (std::string_view Input : {"ab", "abab", "xab", "abx"}) {
+    MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+    StridedDfaEngine(*S2).run(Input, Recorder);
+    EXPECT_EQ(Recorder.matches(), dfaMatches(D, Input)) << Input;
+  }
+}
+
+TEST(DfaEncoding, EmptyInputReportsNothing) {
+  // `a*` accepts ε, but zero-length matches are never reported — not even
+  // through the `$`-anchored end-of-input set.
+  const Dfa D = determinizePatterns({"a*", "b*$", "c"});
+  EXPECT_TRUE(dfaMatches(D, "").empty());
+  Result<StridedDfa> S2 = makeStride2(D);
+  ASSERT_TRUE(S2.ok());
+  MatchRecorder Strided(MatchRecorder::Mode::Collect);
+  StridedDfaEngine(*S2).run("", Strided);
+  EXPECT_EQ(Strided.total(), 0u);
+  InputParallelOptions Opts;
+  Opts.CutOverride = {0, 0};
+  MatchRecorder Parallel(MatchRecorder::Mode::Collect);
+  runInputParallelPool({&D}, "", Parallel, Opts);
+  EXPECT_EQ(Parallel.total(), 0u);
+}
+
+TEST(DfaEncoding, OverflowGuardDiagnostic) {
+  // The largest row offset, (NumStates - 1) x NumAtoms, must fit 31 bits.
+  EXPECT_TRUE(checkDfaEncodable(0, 256).ok());
+  EXPECT_TRUE(checkDfaEncodable(1u << 23, 256).ok());
+  Result<bool> Over = checkDfaEncodable((1u << 23) + 1, 256);
+  ASSERT_FALSE(Over.ok());
+  EXPECT_NE(Over.diag().Message.find("DFA table not encodable"),
+            std::string::npos)
+      << Over.diag().Message;
+  EXPECT_NE(Over.diag().Message.find("8388609 states x 256 atoms"),
+            std::string::npos)
+      << Over.diag().Message;
 }

@@ -8,14 +8,17 @@
 // ends, mid-match, 1-byte chunks, empty chunks, random) x every available
 // SIMD dispatch level must reproduce the AST oracle's per-rule match-end
 // sets exactly — the "byte-identical to a sequential scan" contract of
-// engine/InputParallel.h. A ThreadPool case runs the same property with
-// phase 1 actually concurrent, which the tsan CI leg exercises.
+// engine/InputParallel.h. ThreadPool cases run the same property with
+// phase 1 actually concurrent, which the tsan CI leg exercises — one of
+// them over a planned multi-group engine, whose DFA-family groups run as
+// one batched (group x chunk) pool.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CostModel.h"
 #include "engine/InputParallel.h"
 #include "engine/MultiStride.h"
+#include "engine/PlannedEngine.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
 #include "support/SimdDispatch.h"
@@ -304,4 +307,60 @@ TEST(InputParallel, StatsClassifyChunks) {
       << "dead=" << Stats.SpecDeadChunks << " table=" << Stats.SpecTableChunks
       << " rescan=" << Stats.RescanFallbackChunks;
   EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
+}
+
+TEST(InputParallel, PlannedGroupsMatchSequentialSequence) {
+  // PlannedEngineSet::runInputParallel with phase 1 really concurrent over
+  // several groups: the DFA family submits every (group, chunk) task to one
+  // pool and joins the groups in order, so the match SEQUENCE (not just the
+  // set) equals the group-sequential run(), under the even split and every
+  // adversarial cut set, empty chunks included.
+  Rng Random(4306);
+  const std::vector<std::string> Patterns = {
+      "ab(c|d)*", "bc", "a{2,}", "cd$", "^ab", "e[a-c]e", "(de)+"};
+  const std::string Input = randomInput(Random, 4096);
+  std::vector<Nfa> Fsas;
+  std::vector<uint32_t> Ids;
+  for (size_t I = 0; I < Patterns.size(); ++I) {
+    Fsas.push_back(compileOptimized(Patterns[I]));
+    Ids.push_back(static_cast<uint32_t>(I));
+  }
+  std::vector<std::vector<uint64_t>> CutSets =
+      adversarialCuts(Random, Input, oracleRuleEnds(Patterns, Input));
+  CutSets.insert(CutSets.begin(), std::vector<uint64_t>{}); // Even split.
+
+  const std::pair<Engine, uint32_t> Cases[] = {{Engine::Dfa, 1},
+                                               {Engine::Dfa, 2},
+                                               {Engine::StridedDfa, 3},
+                                               {Engine::ImfantDense, 2}};
+  for (const auto &[Choice, M] : Cases) {
+    EnginePlan Plan;
+    Plan.Choice = Choice;
+    Plan.MergingFactor = M;
+    Result<PlannedEngineSet> Set =
+        PlannedEngineSet::createFromRuleset(Plan, Fsas, Ids);
+    ASSERT_TRUE(Set.ok()) << engineName(Choice) << " M=" << M;
+    ASSERT_GE(Set->numGroups(), 3u);
+    MatchRecorder Seq(MatchRecorder::Mode::Collect);
+    Set->run(Input, Seq);
+    ASSERT_GT(Seq.total(), 0u);
+
+    for (const std::vector<uint64_t> &Cuts : CutSets) {
+      const std::string Tag = std::string(engineName(Choice)) +
+                              " M=" + std::to_string(M) + " " +
+                              formatCuts(Cuts);
+      InputParallelOptions Opts;
+      Opts.Threads = 4;
+      Opts.MinChunkBytes = 1;
+      Opts.UseThreadPool = true;
+      Opts.CutOverride = Cuts;
+      MatchRecorder Par(MatchRecorder::Mode::Collect);
+      InputParallelStats Stats;
+      Set->runInputParallel(Input, Par, Opts, &Stats);
+      EXPECT_EQ(Par.matches(), Seq.matches()) << Tag;
+      const size_t Chunks = Cuts.empty() ? 4 : Cuts.size() + 1;
+      EXPECT_EQ(Stats.Chunks, Set->numGroups() * Chunks) << Tag;
+      EXPECT_EQ(Stats.ChunkPhase1Seconds.size(), Chunks) << Tag;
+    }
+  }
 }
